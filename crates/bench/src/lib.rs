@@ -25,8 +25,7 @@
 
 #![forbid(unsafe_code)]
 
-use sfi_core::{compile, CompiledModule, CompilerConfig, MemLayout, OptLevel, RuntimeRegions, Strategy};
-use sfi_wasm::PAGE_SIZE;
+use sfi_core::{compile, CompiledModule, CompilerConfig, Strategy};
 use sfi_workloads::Workload;
 use sfi_x86::cost::RunStats;
 
@@ -47,40 +46,7 @@ pub struct Measured {
 
 /// Builds the compiler configuration for a module of `mem_pages` pages.
 pub fn config_for(strategy: Strategy, mem_pages: u32, vectorize: bool) -> CompilerConfig {
-    let mem_size = (u64::from(mem_pages) * PAGE_SIZE).next_power_of_two();
-    if strategy == Strategy::Native {
-        // Native code addresses its data directly: the heap sits at the
-        // bottom of the address space (small displacements, as real
-        // compiled C has), with the runtime regions above it.
-        return CompilerConfig {
-            strategy,
-            vectorize,
-            stack_check: false,
-            lfi_reserved_regs: false,
-            segment_entry_protocol: false,
-            opt_level: OptLevel::Baseline,
-            mitigation: sfi_core::MitigationLevel::None,
-            layout: MemLayout { heap_base: 0, mem_size, guard_size: 0 },
-            regions: RuntimeRegions {
-                header_base: 0x14_0000 + mem_size as u32,
-                globals_base: 0x14_1000 + mem_size as u32,
-                table_base: 0x15_0000 + mem_size as u32,
-                stack_limit: 0x16_0000 + mem_size as u32,
-                stack_top: 0x1C_0000 + mem_size as u32,
-            },
-        };
-    }
-    CompilerConfig {
-        strategy,
-        vectorize,
-        stack_check: true,
-        lfi_reserved_regs: false,
-        segment_entry_protocol: false,
-        opt_level: OptLevel::Baseline,
-        mitigation: sfi_core::MitigationLevel::None,
-        layout: MemLayout { heap_base: 0x10_0000, mem_size, guard_size: 0x1_0000 },
-        regions: RuntimeRegions::small_test(),
-    }
+    CompilerConfig { vectorize, ..CompilerConfig::for_module(strategy, mem_pages) }
 }
 
 /// Compiles a workload under `strategy` (the `Native` strategy uses the

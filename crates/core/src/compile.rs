@@ -53,6 +53,14 @@ pub enum CompileError {
     },
     /// Encoding the generated program failed (a compiler bug).
     Encode(String),
+    /// The layout's sandbox memory is smaller than the module's initial
+    /// memory (size the layout with [`CompilerConfig::for_module`]).
+    LayoutTooSmall {
+        /// The module's initial memory in bytes.
+        needed: u64,
+        /// The layout's `mem_size`.
+        mem_size: u64,
+    },
 }
 
 impl core::fmt::Display for CompileError {
@@ -61,6 +69,9 @@ impl core::fmt::Display for CompileError {
             CompileError::Validation(e) => write!(f, "validation failed: {e}"),
             CompileError::TooComplex { func, what } => write!(f, "function {func}: {what}"),
             CompileError::Encode(e) => write!(f, "encoding failed: {e}"),
+            CompileError::LayoutTooSmall { needed, mem_size } => {
+                write!(f, "module needs {needed} bytes of memory, layout holds {mem_size}")
+            }
         }
     }
 }
@@ -134,6 +145,10 @@ impl CompiledModule {
 /// Compiles a validated module under `config`.
 pub fn compile(module: &Module, config: &CompilerConfig) -> Result<CompiledModule, CompileError> {
     sfi_wasm::validate(module)?;
+    let needed = u64::from(module.mem_min_pages) * sfi_wasm::PAGE_SIZE;
+    if needed > config.layout.mem_size {
+        return Err(CompileError::LayoutTooSmall { needed, mem_size: config.layout.mem_size });
+    }
 
     let mut program = Program::new();
     let num_imports = module.imports.len() as u32;

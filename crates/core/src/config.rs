@@ -362,6 +362,29 @@ impl CompilerConfig {
         }
     }
 
+    /// A configuration for `strategy` whose layout holds a module of
+    /// `mem_pages` pages (rounded up to a power of two). Native code
+    /// addresses its data directly: its heap sits at address 0, unguarded,
+    /// with the runtime regions above it.
+    pub fn for_module(strategy: Strategy, mem_pages: u32) -> CompilerConfig {
+        let mut cfg = CompilerConfig::for_strategy(strategy);
+        let mem_size = (u64::from(mem_pages) * sfi_wasm::PAGE_SIZE).next_power_of_two();
+        cfg.layout.mem_size = mem_size;
+        if strategy == Strategy::Native {
+            cfg.layout.heap_base = 0;
+            cfg.layout.guard_size = 0;
+            let m = mem_size as u32;
+            cfg.regions = RuntimeRegions {
+                header_base: 0x14_0000 + m,
+                globals_base: 0x14_1000 + m,
+                table_base: 0x15_0000 + m,
+                stack_limit: 0x16_0000 + m,
+                stack_top: 0x1C_0000 + m,
+            };
+        }
+        cfg
+    }
+
     /// This configuration at [`OptLevel::Optimized`] — the hot-module tier
     /// the runtime promotes to.
     #[must_use]

@@ -17,7 +17,7 @@ use sfi_x86::emu::{FlatMemory, Machine, MemBus, RegFile, SpecConfig, SpecError};
 use sfi_x86::{Gpr, Trap, Width};
 
 use crate::compile::{hostcall, CompiledModule};
-use crate::config::{regs, MitigationLevel, Strategy};
+use crate::config::{regs, CompilerConfig, MitigationLevel, Strategy};
 
 /// The outcome of a harness run.
 #[derive(Debug, Clone)]
@@ -192,7 +192,10 @@ pub fn execute_export_on(
         .run_image_from(image, entry, &mut mem, &mut host)
         .map_err(ExecError::Trapped)?;
 
-    let heap = mem.bytes()[heap_base as usize..].to_vec();
+    // The linear memory is as large as the header's current page count
+    // says (native layouts keep the runtime regions above it).
+    let heap_end = (heap_base + heap_bytes(&mem, header_base)).min(mem.len() as u64);
+    let heap = mem.bytes()[heap_base as usize..heap_end as usize].to_vec();
     let result = has_result.then(|| machine.gpr(regs::RET));
     Ok(ExecOutcome { result, stats, heap })
 }
@@ -269,7 +272,7 @@ pub fn differential_check(module: &sfi_wasm::Module, export: &str, args: &[u64])
         Strategy::BoundsCheck,
         Strategy::BoundsCheckSegue,
     ] {
-        let baseline = crate::config::CompilerConfig::for_strategy(strategy);
+        let baseline = CompilerConfig::for_module(strategy, module.mem_min_pages);
         for config in [baseline.clone(), baseline.clone().optimized()] {
             let cm = crate::compile::compile(module, &config).unwrap_or_else(|e| {
                 panic!("compile under {strategy} ({}): {e}", config.opt_level.name())
@@ -407,7 +410,8 @@ pub fn speculative_check(
         }
         let mut baseline_result = None;
         for level in MitigationLevel::ALL {
-            let config = crate::config::CompilerConfig::for_strategy(strategy).mitigated(level);
+            let config =
+                CompilerConfig::for_module(strategy, module.mem_min_pages).mitigated(level);
             let cm = crate::compile::compile(module, &config)
                 .unwrap_or_else(|e| panic!("compile under {strategy}/{level}: {e}"));
             let spec = spec_config_for(&cm).expect("default secret placement is valid");

@@ -369,7 +369,7 @@ impl Default for SimCosts {
 
 impl SimConfig {
     /// The paper's rig: 1 ms epochs, 5 ms Poisson IO, three-stage requests,
-    /// 60 simulated seconds.
+    /// 10 simulated seconds.
     pub fn paper_rig(workload: FaasWorkload, mode: ScalingMode) -> SimConfig {
         SimConfig {
             workload,

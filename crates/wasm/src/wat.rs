@@ -44,7 +44,8 @@ impl std::error::Error for ParseError {}
 #[derive(Debug, Clone, PartialEq)]
 enum SExpr {
     Atom(String, usize),
-    Str(String, usize),
+    /// A string literal's raw bytes: `\hh` escapes are bytes, not chars.
+    Str(Vec<u8>, usize),
     List(Vec<SExpr>, usize),
 }
 
@@ -72,6 +73,10 @@ impl SExpr {
 
 fn err(pos: usize, msg: impl Into<String>) -> ParseError {
     ParseError { pos, msg: msg.into() }
+}
+
+fn utf8_name(bytes: &[u8], pos: usize) -> Result<String, ParseError> {
+    String::from_utf8(bytes.to_vec()).map_err(|_| err(pos, "name is not valid UTF-8"))
 }
 
 fn tokenize(src: &str) -> Result<Vec<SExpr>, ParseError> {
@@ -117,7 +122,7 @@ fn tokenize(src: &str) -> Result<Vec<SExpr>, ParseError> {
             b'"' => {
                 let start = i;
                 i += 1;
-                let mut s = String::new();
+                let mut s = Vec::new();
                 loop {
                     if i >= bytes.len() {
                         return Err(err(start, "unterminated string"));
@@ -130,27 +135,26 @@ fn tokenize(src: &str) -> Result<Vec<SExpr>, ParseError> {
                         b'\\' if i + 1 < bytes.len() => {
                             let e = bytes[i + 1];
                             match e {
-                                b'n' => s.push('\n'),
-                                b't' => s.push('\t'),
-                                b'\\' => s.push('\\'),
-                                b'"' => s.push('"'),
+                                b'n' => s.push(b'\n'),
+                                b't' => s.push(b'\t'),
+                                b'\\' => s.push(b'\\'),
+                                b'"' => s.push(b'"'),
                                 _ => {
                                     // \hh hex escape
-                                    if i + 2 < bytes.len() {
-                                        let hex = &src[i + 1..i + 3];
-                                        let v = u8::from_str_radix(hex, 16)
-                                            .map_err(|_| err(i, "bad escape"))?;
-                                        s.push(v as char);
-                                        i += 1;
-                                    } else {
-                                        return Err(err(i, "bad escape"));
+                                    let digit = |j: usize| {
+                                        bytes.get(j).and_then(|&b| char::from(b).to_digit(16))
+                                    };
+                                    match (digit(i + 1), digit(i + 2)) {
+                                        (Some(hi), Some(lo)) => s.push((hi << 4 | lo) as u8),
+                                        _ => return Err(err(i, "bad escape")),
                                     }
+                                    i += 1;
                                 }
                             }
                             i += 2;
                         }
                         b => {
-                            s.push(b as char);
+                            s.push(b);
                             i += 1;
                         }
                     }
@@ -312,7 +316,7 @@ pub fn parse(src: &str) -> Result<Module, ParseError> {
             }
             Some("export") => {
                 let name = match items.get(1) {
-                    Some(SExpr::Str(s, _)) => s.clone(),
+                    Some(SExpr::Str(s, p)) => utf8_name(s, *p)?,
                     _ => return Err(err(f.pos(), "export needs a string name")),
                 };
                 let target = items
@@ -353,7 +357,7 @@ pub fn parse(src: &str) -> Result<Module, ParseError> {
                     _ => return Err(err(f.pos(), "data needs an offset")),
                 };
                 let bytes = match items.get(2) {
-                    Some(SExpr::Str(s, _)) => s.bytes().collect(),
+                    Some(SExpr::Str(s, _)) => s.clone(),
                     _ => return Err(err(f.pos(), "data needs a string payload")),
                 };
                 module.push_data(offset, bytes);
@@ -403,8 +407,8 @@ fn parse_func(
     while let Some(SExpr::List(inner, p)) = items.get(i) {
         match inner.first().and_then(SExpr::as_atom) {
             Some("export") => {
-                if let Some(SExpr::Str(s, _)) = inner.get(1) {
-                    export = Some(s.clone());
+                if let Some(SExpr::Str(s, p)) = inner.get(1) {
+                    export = Some(utf8_name(s, *p)?);
                 } else {
                     return Err(err(*p, "export needs a string"));
                 }
@@ -840,6 +844,14 @@ mod tests {
             &[],
         );
         assert_eq!(r, Some(97)); // 'a'
+    }
+
+    #[test]
+    fn string_escapes_are_raw_bytes() {
+        let m = parse(r#"(module (memory 1) (data (i32.const 0) "\ff\80é\n"))"#).unwrap();
+        assert_eq!(m.data, vec![(0, vec![0xFF, 0x80, 0xC3, 0xA9, b'\n'])]);
+        // A bad escape is an error, also one ending inside a multi-byte char.
+        assert!(parse(r#"(module (memory 1) (data (i32.const 0) "\aé"))"#).is_err());
     }
 
     #[test]

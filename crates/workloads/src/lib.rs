@@ -285,6 +285,20 @@ mod tests {
     }
 
     #[test]
+    fn generated_programs_survive_print_parse_round_trips() {
+        // Generated data segments hold bytes >= 0x80, which the printer
+        // writes as `\hh` escapes.
+        for seed in 0..200 {
+            let m1 = genprog::generate(seed).module();
+            let m2 = sfi_wasm::wat::parse(&sfi_wasm::print::print(&m1))
+                .unwrap_or_else(|e| panic!("seed {seed}: reparse: {e}"));
+            assert_eq!(m1.data, m2.data, "seed {seed}: data must round-trip");
+            let run = |m| sfi_wasm::interp::Interpreter::new(m).unwrap().invoke_export("run", &[]);
+            assert_eq!(run(&m1), run(&m2), "seed {seed}: result must round-trip");
+        }
+    }
+
+    #[test]
     fn mcf_variants_differ_only_in_layout() {
         let mcf = &spec2006()[1];
         assert_eq!(mcf.name, "429_mcf");

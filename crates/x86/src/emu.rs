@@ -6,6 +6,30 @@
 //! a 2-bit branch predictor, and charges cycles through
 //! [`crate::cost::CostModel`].
 //!
+//! ## One step, two contexts
+//!
+//! The instruction semantics live once, in `step`, generic over an
+//! execution context (DESIGN.md §16). The **committed** context holds the
+//! architectural registers, the bus, the caches, [`RunStats`] and the cycle
+//! charge, and tracks no taint; [`Machine::run_image_from`] is the fuel and
+//! attribution loop around it. The **transient** context is one wrong-path
+//! window: shadow registers, a byte-granular store buffer, GPR/XMM/flags
+//! taint and a µop budget. Each deliberate difference is a context hook:
+//!
+//! - memory faults trap when committed; a transient load forwards zero,
+//!   synthesizes secret-region bytes and overlays the store buffer;
+//! - `jcc` evaluates the flags, trains the predictor and may open a window
+//!   when committed; a window follows the predictor read-only;
+//! - `jmp`/`call` through a register range-check and train the BTB when
+//!   committed; a window follows the BTB, and a tainted target leaks;
+//! - a `ret` on an empty stack finishes a run and ends a window, as `div`,
+//!   host calls, `wr*base`, `wrpkru`, `ud2` and `lfence` end a window;
+//! - committed fetches and accesses charge cycles; a window only leaves its
+//!   cache footprint and counts `spec_uops`;
+//! - `movdqu` loads use [`MemBus::load128`] when committed and two 8-byte
+//!   loads through the store buffer in a window;
+//! - any transient access through a tainted address, `%rsp` included, leaks.
+//!
 //! ## Code-address model
 //!
 //! Code addresses during *execution* are instruction indices (a `Ret` with an
@@ -21,7 +45,7 @@ use crate::cache::Cache;
 use crate::cost::{CostModel, RunStats};
 use crate::encode::{encode_program, EncodeError, Encoded};
 use crate::inst::{AluOp, ShiftAmount, ShiftOp};
-use crate::{Cond, Gpr, Inst, MemFault, Program, Seg, Trap, Width};
+use crate::{Cond, Gpr, Inst, Label, Mem, MemFault, Program, Seg, Trap, Width, Xmm};
 
 /// Per-access context handed to the bus (the MPK rights register).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,8 +283,7 @@ impl Flags {
 }
 
 /// The architectural register state.
-#[derive(Debug, Clone)]
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RegFile {
     gpr: [u64; 16],
     xmm: [u128; 16],
@@ -273,7 +296,6 @@ pub struct RegFile {
     /// Current flags.
     pub flags: Flags,
 }
-
 
 impl RegFile {
     /// Reads a general-purpose register (full 64 bits).
@@ -313,11 +335,43 @@ impl RegFile {
         self.xmm[x.index()] = v;
     }
 
-    fn seg_base(&self, s: Seg) -> u64 {
-        match s {
+    #[inline]
+    fn ea(&self, mem: &Mem) -> u64 {
+        let seg_base = |s| match s {
             Seg::Fs => self.fs_base,
             Seg::Gs => self.gs_base,
+        };
+        mem.effective_addr(|r| self.gpr(r), seg_base)
+    }
+
+    /// `div`/`idiv` of `rdx:rax` by `src` at `width`: a zero divisor or a
+    /// quotient that does not fit `width` raises #DE.
+    fn div(&mut self, src: Gpr, width: Width, signed: bool) -> Result<(), Trap> {
+        let bits = width.bytes() as u32 * 8;
+        let d = width.mask(self.gpr(src));
+        if d == 0 {
+            return Err(Trap::DivideError);
         }
+        let hi = u128::from(width.mask(self.gpr(Gpr::Rdx)));
+        let dividend = (hi << bits) | u128::from(width.mask(self.gpr(Gpr::Rax)));
+        let (q, r) = if signed {
+            let shift = 128 - 2 * bits;
+            let (n, d) = (((dividend << shift) as i128) >> shift, i128::from(width.sext(d) as i64));
+            let half = 1i128 << (bits - 1);
+            match n.checked_div(d) {
+                Some(q) if (-half..half).contains(&q) => (q as u64, (n % d) as u64),
+                _ => return Err(Trap::DivideError),
+            }
+        } else {
+            let (q, r) = (dividend / u128::from(d), dividend % u128::from(d));
+            if q >> bits != 0 {
+                return Err(Trap::DivideError);
+            }
+            (q as u64, r as u64)
+        };
+        self.write_width(Gpr::Rax, width, q);
+        self.write_width(Gpr::Rdx, width, r);
+        Ok(())
     }
 }
 
@@ -498,980 +552,776 @@ impl Machine {
         bus: &mut M,
         host: &mut HostHandler<'_, M>,
     ) -> Result<RunStats, Trap> {
-        let prog = &image.program;
-        let insts = prog.insts();
-        let enc = &image.encoded;
-        let mut stats = RunStats::default();
-        let mut pc = entry;
-        let mut call_stack: Vec<usize> = Vec::with_capacity(64);
-        // 2-bit counters per instruction site (weakly taken initial state).
-        let mut predictor: Vec<u8> = vec![1; insts.len()];
-        let mut btb: HashMap<usize, usize> = HashMap::new();
+        let (prog, enc) = (&image.program, &image.encoded);
         let mut fuel = self.fuel;
-
-        macro_rules! ctx {
-            () => {
-                AccessCtx { pkru: self.regs.pkru }
-            };
-        }
-
-        // Set when the top-level `ret` retires: the instruction still flows
-        // through the common attribution tail below before the loop exits.
-        let mut finished = false;
-
-        while pc < insts.len() {
+        // The owned state lives outside the context, which thus needs no
+        // drop glue and can stay in registers.
+        let mut pred = Predictors { counters: vec![1; prog.insts().len()], btb: HashMap::new() };
+        let mut stack = Vec::with_capacity(64);
+        let mut c = Committed {
+            m: self,
+            bus,
+            host,
+            image,
+            stats: RunStats::default(),
+            cycles: 0.0,
+            pred: &mut pred,
+            stack: &mut stack,
+        };
+        let mut pc = entry;
+        while pc < prog.insts().len() {
             if fuel == 0 {
                 return Err(Trap::FuelExhausted);
             }
             fuel -= 1;
 
-            let inst = &insts[pc];
+            let inst = &prog.insts()[pc];
             let ilen = enc.inst_len(pc);
-            stats.insts += 1;
-            stats.code_bytes_fetched += ilen as u64;
+            c.stats.insts += 1;
+            c.stats.code_bytes_fetched += ilen as u64;
             // Miss counters before this instruction: the deltas after the
-            // dispatch below reconstruct exactly the penalty cycles it was
+            // step below reconstruct exactly the penalty cycles it was
             // charged (each miss adds one fixed `*_miss_cycles` constant).
-            let miss0 = (stats.icache_misses, stats.dcache_misses, stats.branch_misses);
-            let mut cycles = self.cost.throughput_cycles(inst, ilen);
-            if !self.icache.access(u64::from(enc.offsets[pc])) {
-                stats.icache_misses += 1;
-                cycles += self.cost.icache_miss_cycles;
+            let miss0 = (c.stats.icache_misses, c.stats.dcache_misses, c.stats.branch_misses);
+            c.cycles = c.m.cost.throughput_cycles(inst, ilen);
+            if !c.m.icache.access(u64::from(enc.offsets[pc])) {
+                c.stats.icache_misses += 1;
+                c.cycles += c.m.cost.icache_miss_cycles;
             }
-
-            let mut next = pc + 1;
-            match *inst {
-                Inst::MovRR { dst, src, width } => {
-                    let v = width.mask(self.regs.gpr(src));
-                    self.regs.write_width(dst, width, v);
-                }
-                Inst::MovRI { dst, imm, width } => {
-                    self.regs.write_width(dst, width, imm as u64);
-                }
-                Inst::Load { dst, mem, width } => {
-                    cycles += self.load_latency();
-                    let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    let v = bus.load(ea, width, ctx!())?;
-                    stats.loads += 1;
-                    // A 32-bit load zero-extends; 8/16-bit merge.
-                    if width == Width::D || width == Width::Q {
-                        self.regs.set_gpr(dst, width.mask(v));
-                    } else {
-                        self.regs.write_width(dst, width, v);
-                    }
-                }
-                Inst::LoadSx { dst, mem, width } => {
-                    cycles += self.load_latency();
-                    let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    let v = bus.load(ea, width, ctx!())?;
-                    stats.loads += 1;
-                    self.regs.set_gpr(dst, width.sext(v));
-                }
-                Inst::LoadZx { dst, mem, width } => {
-                    cycles += self.load_latency();
-                    let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    let v = bus.load(ea, width, ctx!())?;
-                    stats.loads += 1;
-                    self.regs.set_gpr(dst, width.mask(v));
-                }
-                Inst::Store { src, mem, width } => {
-                    let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    bus.store(ea, width, width.mask(self.regs.gpr(src)), ctx!())?;
-                    stats.stores += 1;
-                }
-                Inst::StoreImm { imm, mem, width } => {
-                    let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    bus.store(ea, width, width.mask(imm as i64 as u64), ctx!())?;
-                    stats.stores += 1;
-                }
-                Inst::Lea { dst, mem, width } => {
-                    // lea ignores the segment base; addr32 still truncates.
-                    let mut ea = mem.disp as i64 as u64;
-                    if let Some(b) = mem.base {
-                        ea = ea.wrapping_add(self.regs.gpr(b));
-                    }
-                    if let Some((i, s)) = mem.index {
-                        ea = ea.wrapping_add(self.regs.gpr(i).wrapping_mul(s.factor()));
-                    }
-                    if mem.addr32 {
-                        ea &= 0xFFFF_FFFF;
-                    }
-                    self.regs.write_width(dst, width, ea);
-                }
-                Inst::Movzx { dst, src, from } => {
-                    self.regs.set_gpr(dst, from.mask(self.regs.gpr(src)));
-                }
-                Inst::Movsx { dst, src, from } => {
-                    self.regs.set_gpr(dst, from.sext(self.regs.gpr(src)));
-                }
-                Inst::AluRR { op, dst, src, width } => {
-                    let a = width.mask(self.regs.gpr(dst));
-                    let b = width.mask(self.regs.gpr(src));
-                    let r = self.alu(op, a, b, width);
-                    if op.writes_dst() {
-                        self.regs.write_width(dst, width, r);
-                    }
-                }
-                Inst::AluRI { op, dst, imm, width } => {
-                    let a = width.mask(self.regs.gpr(dst));
-                    let b = width.mask(imm as i64 as u64);
-                    let r = self.alu(op, a, b, width);
-                    if op.writes_dst() {
-                        self.regs.write_width(dst, width, r);
-                    }
-                }
-                Inst::AluRM { op, dst, mem, width } => {
-                    cycles += self.load_latency();
-                    let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, width.bytes());
-                    let b = bus.load(ea, width, ctx!())?;
-                    stats.loads += 1;
-                    let a = width.mask(self.regs.gpr(dst));
-                    let r = self.alu(op, a, width.mask(b), width);
-                    if op.writes_dst() {
-                        self.regs.write_width(dst, width, r);
-                    }
-                }
-                Inst::TestRR { a, b, width } => {
-                    let x = width.mask(self.regs.gpr(a)) & width.mask(self.regs.gpr(b));
-                    self.regs.flags = Flags {
-                        zf: x == 0,
-                        sf: x >> width.sign_bit() & 1 == 1,
-                        cf: false,
-                        of: false,
-                    };
-                }
-                Inst::Imul { dst, src, width } => {
-                    let r = width
-                        .mask(self.regs.gpr(dst))
-                        .wrapping_mul(width.mask(self.regs.gpr(src)));
-                    self.regs.write_width(dst, width, width.mask(r));
-                }
-                Inst::ImulRRI { dst, src, imm, width } => {
-                    let r = width.mask(self.regs.gpr(src)).wrapping_mul(width.mask(imm as i64 as u64));
-                    self.regs.write_width(dst, width, width.mask(r));
-                }
-                Inst::Div { src, width, signed } => {
-                    self.div(src, width, signed)?;
-                }
-                Inst::Cdq { width } => {
-                    let a = width.mask(self.regs.gpr(Gpr::Rax));
-                    let sign = a >> width.sign_bit() & 1 == 1;
-                    let v = if sign { width.mask(u64::MAX) } else { 0 };
-                    self.regs.write_width(Gpr::Rdx, width, v);
-                }
-                Inst::Shift { op, dst, amount, width } => {
-                    let n = match amount {
-                        ShiftAmount::Imm(i) => u32::from(i),
-                        ShiftAmount::Cl => (self.regs.gpr(Gpr::Rcx) & 0xFF) as u32,
-                    };
-                    let n = n & (width.bytes() as u32 * 8 - 1);
-                    let a = width.mask(self.regs.gpr(dst));
-                    let r = Self::shift_compute(op, a, n, width);
-                    self.regs.write_width(dst, width, r);
-                    if n != 0 {
-                        self.regs.flags.zf = r == 0;
-                        self.regs.flags.sf = r >> width.sign_bit() & 1 == 1;
-                    }
-                }
-                Inst::Neg { dst, width } => {
-                    let a = width.mask(self.regs.gpr(dst));
-                    let r = self.alu(AluOp::Sub, 0, a, width);
-                    self.regs.write_width(dst, width, r);
-                }
-                Inst::Not { dst, width } => {
-                    let a = width.mask(self.regs.gpr(dst));
-                    self.regs.write_width(dst, width, width.mask(!a));
-                }
-                Inst::Cmov { cond, dst, src, width } => {
-                    if self.regs.flags.cond(cond) {
-                        let v = width.mask(self.regs.gpr(src));
-                        self.regs.write_width(dst, width, v);
-                    } else if width == Width::D {
-                        // cmov always writes in 32-bit form (zeroes upper).
-                        let v = width.mask(self.regs.gpr(dst));
-                        self.regs.set_gpr(dst, v);
-                    }
-                }
-                Inst::Setcc { cond, dst } => {
-                    let v = u64::from(self.regs.flags.cond(cond));
-                    self.regs.set_gpr(dst, v);
-                }
-                Inst::Jmp { target } => {
-                    next = self.resolve(prog, target)?;
-                    cycles += self.cost.taken_branch_cycles;
-                }
-                Inst::Jcc { cond, target } => {
-                    stats.branches += 1;
-                    let taken = self.regs.flags.cond(cond);
-                    let ctr = &mut predictor[pc];
-                    let predicted_taken = *ctr >= 2;
-                    *ctr = match (taken, *ctr) {
-                        (true, c) if c < 3 => c + 1,
-                        (false, c) if c > 0 => c - 1,
-                        (_, c) => c,
-                    };
-                    if predicted_taken != taken {
-                        stats.branch_misses += 1;
-                        cycles += self.cost.branch_miss_cycles;
-                        // Wrong-path fetch: the front end ran down the
-                        // *predicted* direction until the mispredict
-                        // resolved. With speculation enabled, model those
-                        // transient µops (rolled back architecturally, but
-                        // their cache footprint persists).
-                        if self.spec.is_some() {
-                            let wrong = if predicted_taken {
-                                prog.resolve(target)
-                            } else {
-                                Some(pc + 1)
-                            };
-                            if let Some(start) = wrong {
-                                self.speculate(image, start, &predictor, &btb, bus, &mut stats);
-                            }
-                        }
-                    }
-                    if taken {
-                        next = self.resolve(prog, target)?;
-                        cycles += self.cost.taken_branch_cycles;
-                    }
-                }
-                Inst::JmpReg { reg } => {
-                    stats.branches += 1;
-                    let t = self.regs.gpr(reg) as usize;
-                    if t >= insts.len() {
-                        return Err(Trap::BadControlFlow { target: t as u64 });
-                    }
-                    let prev = btb.insert(pc, t);
-                    if prev != Some(t) {
-                        stats.branch_misses += 1;
-                        cycles += self.cost.branch_miss_cycles;
-                        // Stale BTB entry: the front end speculated into the
-                        // *previous* target with the *current* register
-                        // state — the transient type-confusion channel.
-                        if let Some(old) = prev {
-                            if self.spec.is_some() {
-                                self.speculate(image, old, &predictor, &btb, bus, &mut stats);
-                            }
-                        }
-                    }
-                    next = t;
-                    cycles += self.cost.taken_branch_cycles;
-                }
-                Inst::Call { target } => {
-                    call_stack.push(pc + 1);
-                    next = self.resolve(prog, target)?;
-                    cycles += self.cost.taken_branch_cycles;
-                }
-                Inst::CallReg { reg } => {
-                    stats.branches += 1;
-                    let t = self.regs.gpr(reg) as usize;
-                    if t >= insts.len() {
-                        return Err(Trap::BadControlFlow { target: t as u64 });
-                    }
-                    let prev = btb.insert(pc, t);
-                    if prev != Some(t) {
-                        stats.branch_misses += 1;
-                        cycles += self.cost.branch_miss_cycles;
-                        if let Some(old) = prev {
-                            if self.spec.is_some() {
-                                self.speculate(image, old, &predictor, &btb, bus, &mut stats);
-                            }
-                        }
-                    }
-                    call_stack.push(pc + 1);
-                    next = t;
-                    cycles += self.cost.taken_branch_cycles;
-                }
-                Inst::CallHost { func } => {
-                    stats.host_calls += 1;
-                    cycles += host(func, &mut self.regs, bus)?;
-                }
-                Inst::Ret => match call_stack.pop() {
-                    Some(ra) => {
-                        next = ra;
-                        cycles += self.cost.taken_branch_cycles;
-                    }
-                    None => finished = true,
-                },
-                Inst::Push { reg } => {
-                    let sp = self.regs.gpr(Gpr::Rsp).wrapping_sub(8);
-                    self.regs.set_gpr(Gpr::Rsp, sp);
-                    cycles += self.data_access(&mut stats, sp, 8);
-                    bus.store(sp, Width::Q, self.regs.gpr(reg), ctx!())?;
-                    stats.stores += 1;
-                }
-                Inst::Pop { reg } => {
-                    cycles += self.load_latency();
-                    let sp = self.regs.gpr(Gpr::Rsp);
-                    cycles += self.data_access(&mut stats, sp, 8);
-                    let v = bus.load(sp, Width::Q, ctx!())?;
-                    stats.loads += 1;
-                    self.regs.set_gpr(reg, v);
-                    self.regs.set_gpr(Gpr::Rsp, sp.wrapping_add(8));
-                }
-                Inst::MovdquLoad { dst, mem } => {
-                    cycles += self.load_latency();
-                    let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, 16);
-                    let v = bus.load128(ea, ctx!())?;
-                    stats.loads += 1;
-                    self.regs.set_xmm(dst, v);
-                }
-                Inst::MovdquStore { src, mem } => {
-                    let ea = self.ea(&mem);
-                    cycles += self.data_access(&mut stats, ea, 16);
-                    bus.store128(ea, self.regs.xmm(src), ctx!())?;
-                    stats.stores += 1;
-                }
-                Inst::MovdqaRR { dst, src } => {
-                    let v = self.regs.xmm(src);
-                    self.regs.set_xmm(dst, v);
-                }
-                Inst::WrGsBase { src } => {
-                    if !self.allow_system {
-                        return Err(Trap::PrivilegedInstruction);
-                    }
-                    self.regs.gs_base = self.regs.gpr(src);
-                }
-                Inst::RdGsBase { dst } => {
-                    let v = self.regs.gs_base;
-                    self.regs.set_gpr(dst, v);
-                }
-                Inst::WrFsBase { src } => {
-                    if !self.allow_system {
-                        return Err(Trap::PrivilegedInstruction);
-                    }
-                    self.regs.fs_base = self.regs.gpr(src);
-                }
-                Inst::WrPkru => {
-                    if !self.allow_system {
-                        return Err(Trap::PrivilegedInstruction);
-                    }
-                    self.regs.pkru = self.regs.gpr(Gpr::Rax) as u32;
-                }
-                Inst::RdPkru => {
-                    let v = u64::from(self.regs.pkru);
-                    self.regs.set_gpr(Gpr::Rax, v);
-                }
-                Inst::Ud2 => return Err(Trap::Undefined),
-                Inst::Lfence => {
-                    // Architecturally a no-op; its effect is that no
-                    // speculative window can cross it (see `speculate`) and
-                    // the serial-dispatch charge from the cost model.
-                }
-                Inst::Nop => {}
-            }
-            cycles += self.cost.serial_cycles(inst);
+            // `None`: the top-level `ret` retired. It still flows through
+            // the attribution tail below before the loop exits.
+            let next = step(&mut c, prog, pc)?;
+            let (cost, stats) = (&c.m.cost, &mut c.stats);
+            c.cycles += cost.serial_cycles(inst);
             // Attribution: split this instruction's charge into its
             // microarchitectural penalties (reconstructed from the miss
             // deltas) and the remainder, which lands in the bucket of the
             // provenance class the compiler tagged the instruction with.
-            let pen_i = (stats.icache_misses - miss0.0) as f64 * self.cost.icache_miss_cycles;
-            let pen_d = (stats.dcache_misses - miss0.1) as f64 * self.cost.dcache_miss_cycles;
-            let pen_b = (stats.branch_misses - miss0.2) as f64 * self.cost.branch_miss_cycles;
+            let pen_i = (stats.icache_misses - miss0.0) as f64 * cost.icache_miss_cycles;
+            let pen_d = (stats.dcache_misses - miss0.1) as f64 * cost.dcache_miss_cycles;
+            let pen_b = (stats.branch_misses - miss0.2) as f64 * cost.branch_miss_cycles;
             stats.icache_penalty_cycles += pen_i;
             stats.dcache_penalty_cycles += pen_d;
             stats.branch_penalty_cycles += pen_b;
-            stats.prov_cycles[prog.prov_at(pc).index()] += cycles - (pen_i + pen_d + pen_b);
-            if finished {
-                break;
+            stats.prov_cycles[prog.prov_at(pc).index()] += c.cycles - (pen_i + pen_d + pen_b);
+            match next {
+                Some(n) => pc = n,
+                None => break,
             }
-            pc = next;
         }
         // Finalize total cycles *from* the buckets so the sum invariant
         // (`attributed_cycles() == cycles`) holds bit-for-bit on every
         // successful return; see DESIGN.md §14.
-        stats.cycles = stats.attributed_cycles();
-        Ok(stats)
+        c.stats.cycles = c.stats.attributed_cycles();
+        Ok(c.stats)
+    }
+}
+
+/// The hooks by which the two execution contexts of [`step`] differ.
+/// `Halt` cuts a step short: a [`Trap`] when committed; when transient, the
+/// end of the window, which every trap also is.
+trait Exec {
+    type Halt: From<Trap>;
+
+    /// The register file the step reads and writes.
+    fn regs(&mut self) -> &mut RegFile;
+    /// The return-address stack `call`/`ret` push and pop.
+    fn stack(&mut self) -> &mut Vec<usize>;
+    /// Loads `w` bytes through `mem`: the value and its taint.
+    fn load(&mut self, mem: &Mem, w: Width) -> Result<(u64, bool), Self::Halt>;
+    /// Stores the low `w` bytes of `v`, carrying taint `t`, through `mem`.
+    fn store(&mut self, mem: &Mem, w: Width, v: u64, t: bool) -> Result<(), Self::Halt>;
+    /// The 16-byte `movdqu` load.
+    fn load128(&mut self, mem: &Mem) -> Result<(u128, bool), Self::Halt>;
+    /// The 16-byte `movdqu` store.
+    fn store128(&mut self, mem: &Mem, v: u128, t: bool) -> Result<(), Self::Halt>;
+    /// Whether the `jcc cond, target` at `pc` is followed.
+    fn branch(&mut self, pc: usize, cond: Cond, target: Label) -> bool;
+    /// The target of the indirect `jmp`/`call` through `reg` at `pc`.
+    fn indirect(&mut self, pc: usize, reg: Gpr) -> Result<usize, Self::Halt>;
+    /// Charges a taken branch.
+    fn taken(&mut self);
+    /// Calls host function `func`.
+    fn host(&mut self, func: u32) -> Result<(), Self::Halt>;
+    /// A serializing instruction; `privileged` ones write system state.
+    fn serialize(&mut self, privileged: bool) -> Result<(), Self::Halt>;
+
+    // Taint: the transient context keeps one bit per GPR, per XMM register
+    // and for the flags. Committed execution tracks none, and these no-op
+    // defaults compile away.
+
+    /// Whether GPR `r` holds secret-derived data.
+    fn tainted(&self, _r: Gpr) -> bool {
+        false
+    }
+    /// Records the taint of a `w`-wide write to `r`.
+    fn set_taint(&mut self, _r: Gpr, _w: Width, _t: bool) {}
+    /// Whether XMM register `x` holds secret-derived data.
+    fn xmm_tainted(&self, _x: Xmm) -> bool {
+        false
+    }
+    /// Records the taint of a write to `x`.
+    fn set_xmm_taint(&mut self, _x: Xmm, _t: bool) {}
+    /// Whether the flags were computed from secret-derived data.
+    fn flags_tainted(&self) -> bool {
+        false
+    }
+    /// Records the taint of a flags write.
+    fn set_flags_taint(&mut self, _t: bool) {}
+
+    /// Whether the address `mem` forms is secret-derived.
+    fn addr_tainted(&self, mem: &Mem) -> bool {
+        mem.base.is_some_and(|b| self.tainted(b)) || mem.index.is_some_and(|(i, _)| self.tainted(i))
     }
 
-    /// Executes one transient wrong-path window starting at `start`.
-    ///
-    /// Shadow state only: registers and flags are cloned and discarded,
-    /// stores land in a forwarding buffer that never reaches the bus, and
-    /// nothing is charged to `cycles` (the spec buckets are pure counters,
-    /// so the exact-sum invariant is untouched). The two effects that
-    /// persist past the rollback are the cache footprint — wrong-path
-    /// fetches and data touches stay resident, which **is** the side
-    /// channel — and the taint-based leak counter.
-    ///
-    /// Taint rules: a transient load whose address falls in the configured
-    /// secret region taints its destination; taint propagates through ALU,
-    /// moves, shifts, and store-to-load forwarding; any transient memory
-    /// access whose *address* is tainted (or an indirect branch through a
-    /// tainted register) records a leak.
-    fn speculate<M: MemBus>(
-        &mut self,
-        image: &Image,
-        start: usize,
-        predictor: &[u8],
-        btb: &HashMap<usize, usize>,
-        bus: &mut M,
-        stats: &mut RunStats,
-    ) {
-        let Some(spec) = self.spec else { return };
-        stats.spec_flushes += 1;
-        let prog = &image.program;
-        let insts = prog.insts();
-        let enc = &image.encoded;
-        let mut regs = self.regs.clone();
-        // One taint bit per GPR / XMM register; `flags_taint` covers EFLAGS.
-        let mut taint: u16 = 0;
-        let mut xtaint: u16 = 0;
-        let mut flags_taint = false;
-        // Byte-granular store-forwarding buffer, each byte carrying taint.
-        let mut store_buf: HashMap<u64, (u8, bool)> = HashMap::new();
-        let mut spec_stack: Vec<usize> = Vec::new();
-        let mut pc = start;
-        let mut budget = i64::from(spec.window);
+    /// Writes `v` to `dst` at width `w`, with taint `t`.
+    fn write(&mut self, dst: Gpr, w: Width, v: u64, t: bool) {
+        self.regs().write_width(dst, w, v);
+        self.set_taint(dst, w, t);
+    }
+}
 
-        macro_rules! is_t {
-            ($r:expr) => {
-                taint & (1u16 << $r.index()) != 0
+/// Executes the instruction at `pc` in context `c`: the one copy of the
+/// instruction semantics. Returns the next pc, or `None` when a `ret` finds
+/// the return-address stack empty.
+#[inline(always)]
+fn step<C: Exec>(c: &mut C, prog: &Program, pc: usize) -> Result<Option<usize>, C::Halt> {
+    let mut next = pc + 1;
+    match prog.insts()[pc] {
+        Inst::MovRR { dst, src, width } => {
+            let v = width.mask(c.regs().gpr(src));
+            let t = c.tainted(src);
+            c.write(dst, width, v, t);
+        }
+        Inst::MovRI { dst, imm, width } => c.write(dst, width, imm as u64, false),
+        Inst::Load { dst, mem, width } => {
+            // A 32-bit load zero-extends; 8/16-bit merge.
+            let (v, t) = c.load(&mem, width)?;
+            c.write(dst, width, v, t);
+        }
+        Inst::LoadSx { dst, mem, width } => {
+            let (v, t) = c.load(&mem, width)?;
+            c.write(dst, Width::Q, width.sext(v), t);
+        }
+        Inst::LoadZx { dst, mem, width } => {
+            let (v, t) = c.load(&mem, width)?;
+            c.write(dst, Width::Q, width.mask(v), t);
+        }
+        Inst::Store { src, mem, width } => {
+            let v = width.mask(c.regs().gpr(src));
+            let t = c.tainted(src);
+            c.store(&mem, width, v, t)?;
+        }
+        Inst::StoreImm { imm, mem, width } => {
+            c.store(&mem, width, width.mask(imm as i64 as u64), false)?;
+        }
+        Inst::Lea { dst, mem, width } => {
+            // lea ignores the segment base; addr32 still truncates.
+            let regs = c.regs();
+            let ea = mem.effective_addr(|r| regs.gpr(r), |_| 0);
+            let t = c.addr_tainted(&mem);
+            c.write(dst, width, ea, t);
+        }
+        Inst::Movzx { dst, src, from } => {
+            let v = from.mask(c.regs().gpr(src));
+            let t = c.tainted(src);
+            c.write(dst, Width::Q, v, t);
+        }
+        Inst::Movsx { dst, src, from } => {
+            let v = from.sext(c.regs().gpr(src));
+            let t = c.tainted(src);
+            c.write(dst, Width::Q, v, t);
+        }
+        Inst::AluRR { op, dst, src, width } => {
+            let regs = c.regs();
+            let (a, b) = (width.mask(regs.gpr(dst)), width.mask(regs.gpr(src)));
+            let t = c.tainted(dst) | c.tainted(src);
+            alu(c, op, dst, a, b, width, t);
+        }
+        Inst::AluRI { op, dst, imm, width } => {
+            let a = width.mask(c.regs().gpr(dst));
+            let t = c.tainted(dst);
+            alu(c, op, dst, a, width.mask(imm as i64 as u64), width, t);
+        }
+        Inst::AluRM { op, dst, mem, width } => {
+            let (b, bt) = c.load(&mem, width)?;
+            let a = width.mask(c.regs().gpr(dst));
+            let t = c.tainted(dst) | bt;
+            alu(c, op, dst, a, width.mask(b), width, t);
+        }
+        Inst::TestRR { a, b, width } => {
+            let regs = c.regs();
+            let x = width.mask(regs.gpr(a)) & width.mask(regs.gpr(b));
+            regs.flags = Flags { zf: x == 0, sf: x >> width.sign_bit() & 1 == 1, ..Flags::default() };
+            let t = c.tainted(a) | c.tainted(b);
+            c.set_flags_taint(t);
+        }
+        Inst::Imul { dst, src, width } => {
+            let regs = c.regs();
+            let v = width.mask(regs.gpr(dst)).wrapping_mul(width.mask(regs.gpr(src)));
+            let t = c.tainted(dst) | c.tainted(src);
+            c.write(dst, width, width.mask(v), t);
+        }
+        Inst::ImulRRI { dst, src, imm, width } => {
+            let v = width.mask(c.regs().gpr(src)).wrapping_mul(width.mask(imm as i64 as u64));
+            let t = c.tainted(src);
+            c.write(dst, width, width.mask(v), t);
+        }
+        Inst::Div { src, width, signed } => {
+            // Divides end a window: their latency outlives any real one.
+            c.serialize(false)?;
+            c.regs().div(src, width, signed)?;
+        }
+        Inst::Cdq { width } => {
+            let a = width.mask(c.regs().gpr(Gpr::Rax));
+            let v = if a >> width.sign_bit() & 1 == 1 { width.mask(u64::MAX) } else { 0 };
+            let t = c.tainted(Gpr::Rax);
+            c.write(Gpr::Rdx, width, v, t);
+        }
+        Inst::Shift { op, dst, amount, width } => {
+            let (n, amount_t) = match amount {
+                ShiftAmount::Imm(i) => (u32::from(i), false),
+                ShiftAmount::Cl => ((c.regs().gpr(Gpr::Rcx) & 0xFF) as u32, c.tainted(Gpr::Rcx)),
             };
-        }
-        // Width-aware taint write: 32/64-bit destinations are fully
-        // overwritten (taint replaced); 8/16-bit writes merge (taint ORs).
-        macro_rules! put_t {
-            ($dst:expr, $w:expr, $t:expr) => {{
-                let bit = 1u16 << $dst.index();
-                if matches!($w, Width::Q | Width::D) {
-                    if $t {
-                        taint |= bit;
-                    } else {
-                        taint &= !bit;
-                    }
-                } else if $t {
-                    taint |= bit;
-                }
-            }};
-        }
-        // Effective address of a transient access: touches the D-cache
-        // (the persistent footprint) and records a leak when the address
-        // is secret-derived — that touch is the transmit.
-        macro_rules! mem_ea {
-            ($mem:expr, $len:expr) => {{
-                let m = $mem;
-                let ea = m.effective_addr(|r| regs.gpr(r), |s| regs.seg_base(s));
-                let mut addr_t = false;
-                if let Some(b) = m.base {
-                    addr_t |= is_t!(b);
-                }
-                if let Some((i, _)) = m.index {
-                    addr_t |= is_t!(i);
-                }
-                if addr_t {
-                    stats.spec_leaks += 1;
-                }
-                self.dcache.access_range(ea, $len);
-                ea
-            }};
-        }
-        // Transient load value + taint: secret-region bytes are synthesized
-        // deterministically (the region lives outside the architecturally
-        // mapped sandbox, so the bus would fault); other addresses read
-        // through the bus with faulting loads forwarding zero; the store
-        // buffer overlays both.
-        macro_rules! spec_load {
-            ($ea:expr, $w:expr) => {{
-                let ea: u64 = $ea;
-                let w: Width = $w;
-                let mut t = spec.in_secret(ea);
-                let mut v: u64 = if t {
-                    let mut x = 0u64;
-                    for i in 0..w.bytes() {
-                        x |= u64::from((ea.wrapping_add(i) as u8) ^ 0xA5) << (8 * i);
-                    }
-                    x
-                } else {
-                    bus.load(ea, w, AccessCtx { pkru: regs.pkru }).unwrap_or(0)
-                };
-                for i in 0..w.bytes() {
-                    if let Some(&(b, bt)) = store_buf.get(&ea.wrapping_add(i)) {
-                        v = (v & !(0xFFu64 << (8 * i))) | (u64::from(b) << (8 * i));
-                        t |= bt;
-                    }
-                }
-                (v, t)
-            }};
-        }
-        macro_rules! spec_store {
-            ($ea:expr, $w:expr, $v:expr, $t:expr) => {{
-                let ea: u64 = $ea;
-                let v: u64 = $v;
-                for i in 0..$w.bytes() {
-                    store_buf.insert(ea.wrapping_add(i), ((v >> (8 * i)) as u8, $t));
-                }
-            }};
-        }
-
-        'window: while budget > 0 && pc < insts.len() {
-            let inst = &insts[pc];
-            let uops = self.cost.uops(inst).ceil().max(1.0) as i64;
-            budget -= uops;
-            stats.spec_uops += uops as u64;
-            // Wrong-path fetch touches the I-cache; the footprint persists.
-            self.icache.access(u64::from(enc.offsets[pc]));
-            let mut next = pc + 1;
-            match *inst {
-                Inst::MovRR { dst, src, width } => {
-                    let v = width.mask(regs.gpr(src));
-                    regs.write_width(dst, width, v);
-                    let t = is_t!(src);
-                    put_t!(dst, width, t);
-                }
-                Inst::MovRI { dst, imm, width } => {
-                    regs.write_width(dst, width, imm as u64);
-                    put_t!(dst, width, false);
-                }
-                Inst::Load { dst, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    let (v, t) = spec_load!(ea, width);
-                    if width == Width::D || width == Width::Q {
-                        regs.set_gpr(dst, width.mask(v));
-                    } else {
-                        regs.write_width(dst, width, v);
-                    }
-                    put_t!(dst, width, t);
-                }
-                Inst::LoadSx { dst, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    let (v, t) = spec_load!(ea, width);
-                    regs.set_gpr(dst, width.sext(v));
-                    put_t!(dst, Width::Q, t);
-                }
-                Inst::LoadZx { dst, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    let (v, t) = spec_load!(ea, width);
-                    regs.set_gpr(dst, width.mask(v));
-                    put_t!(dst, Width::Q, t);
-                }
-                Inst::Store { src, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    spec_store!(ea, width, width.mask(regs.gpr(src)), is_t!(src));
-                }
-                Inst::StoreImm { imm, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    spec_store!(ea, width, width.mask(imm as i64 as u64), false);
-                }
-                Inst::Lea { dst, mem, width } => {
-                    let mut ea = mem.disp as i64 as u64;
-                    let mut t = false;
-                    if let Some(b) = mem.base {
-                        ea = ea.wrapping_add(regs.gpr(b));
-                        t |= is_t!(b);
-                    }
-                    if let Some((i, s)) = mem.index {
-                        ea = ea.wrapping_add(regs.gpr(i).wrapping_mul(s.factor()));
-                        t |= is_t!(i);
-                    }
-                    if mem.addr32 {
-                        ea &= 0xFFFF_FFFF;
-                    }
-                    regs.write_width(dst, width, ea);
-                    put_t!(dst, width, t);
-                }
-                Inst::Movzx { dst, src, from } => {
-                    regs.set_gpr(dst, from.mask(regs.gpr(src)));
-                    let t = is_t!(src);
-                    put_t!(dst, Width::Q, t);
-                }
-                Inst::Movsx { dst, src, from } => {
-                    regs.set_gpr(dst, from.sext(regs.gpr(src)));
-                    let t = is_t!(src);
-                    put_t!(dst, Width::Q, t);
-                }
-                Inst::AluRR { op, dst, src, width } => {
-                    let a = width.mask(regs.gpr(dst));
-                    let b = width.mask(regs.gpr(src));
-                    let (r, f) = Self::alu_compute(op, a, b, width);
-                    regs.flags = f;
-                    let t = is_t!(dst) | is_t!(src);
-                    flags_taint = t;
-                    if op.writes_dst() {
-                        regs.write_width(dst, width, r);
-                        put_t!(dst, width, t);
-                    }
-                }
-                Inst::AluRI { op, dst, imm, width } => {
-                    let a = width.mask(regs.gpr(dst));
-                    let b = width.mask(imm as i64 as u64);
-                    let (r, f) = Self::alu_compute(op, a, b, width);
-                    regs.flags = f;
-                    let t = is_t!(dst);
-                    flags_taint = t;
-                    if op.writes_dst() {
-                        regs.write_width(dst, width, r);
-                        put_t!(dst, width, t);
-                    }
-                }
-                Inst::AluRM { op, dst, mem, width } => {
-                    let ea = mem_ea!(&mem, width.bytes());
-                    let (b, mt) = spec_load!(ea, width);
-                    let a = width.mask(regs.gpr(dst));
-                    let (r, f) = Self::alu_compute(op, a, width.mask(b), width);
-                    regs.flags = f;
-                    let t = is_t!(dst) | mt;
-                    flags_taint = t;
-                    if op.writes_dst() {
-                        regs.write_width(dst, width, r);
-                        put_t!(dst, width, t);
-                    }
-                }
-                Inst::TestRR { a, b, width } => {
-                    let x = width.mask(regs.gpr(a)) & width.mask(regs.gpr(b));
-                    regs.flags = Flags {
-                        zf: x == 0,
-                        sf: x >> width.sign_bit() & 1 == 1,
-                        cf: false,
-                        of: false,
-                    };
-                    flags_taint = is_t!(a) | is_t!(b);
-                }
-                Inst::Imul { dst, src, width } => {
-                    let r = width.mask(regs.gpr(dst)).wrapping_mul(width.mask(regs.gpr(src)));
-                    regs.write_width(dst, width, width.mask(r));
-                    let t = is_t!(dst) | is_t!(src);
-                    put_t!(dst, width, t);
-                }
-                Inst::ImulRRI { dst, src, imm, width } => {
-                    let r = width.mask(regs.gpr(src)).wrapping_mul(width.mask(imm as i64 as u64));
-                    regs.write_width(dst, width, width.mask(r));
-                    let t = is_t!(src);
-                    put_t!(dst, width, t);
-                }
-                // Divides serialize the window in this model (their latency
-                // outlives any realistic transient window).
-                Inst::Div { .. } => break 'window,
-                Inst::Cdq { width } => {
-                    let a = width.mask(regs.gpr(Gpr::Rax));
-                    let sign = a >> width.sign_bit() & 1 == 1;
-                    let v = if sign { width.mask(u64::MAX) } else { 0 };
-                    regs.write_width(Gpr::Rdx, width, v);
-                    let t = is_t!(Gpr::Rax);
-                    put_t!(Gpr::Rdx, width, t);
-                }
-                Inst::Shift { op, dst, amount, width } => {
-                    let (n0, amt_t) = match amount {
-                        ShiftAmount::Imm(i) => (u32::from(i), false),
-                        ShiftAmount::Cl => ((regs.gpr(Gpr::Rcx) & 0xFF) as u32, is_t!(Gpr::Rcx)),
-                    };
-                    let n = n0 & (width.bytes() as u32 * 8 - 1);
-                    let a = width.mask(regs.gpr(dst));
-                    let r = Self::shift_compute(op, a, n, width);
-                    regs.write_width(dst, width, r);
-                    let t = is_t!(dst) | amt_t;
-                    put_t!(dst, width, t);
-                    if n != 0 {
-                        regs.flags.zf = r == 0;
-                        regs.flags.sf = r >> width.sign_bit() & 1 == 1;
-                        flags_taint = t;
-                    }
-                }
-                Inst::Neg { dst, width } => {
-                    let a = width.mask(regs.gpr(dst));
-                    let (r, f) = Self::alu_compute(AluOp::Sub, 0, a, width);
-                    regs.flags = f;
-                    regs.write_width(dst, width, r);
-                    flags_taint = is_t!(dst);
-                }
-                Inst::Not { dst, width } => {
-                    let a = width.mask(regs.gpr(dst));
-                    regs.write_width(dst, width, width.mask(!a));
-                }
-                Inst::Cmov { cond, dst, src, width } => {
-                    if regs.flags.cond(cond) {
-                        let v = width.mask(regs.gpr(src));
-                        regs.write_width(dst, width, v);
-                        let t = is_t!(src) | flags_taint;
-                        put_t!(dst, width, t);
-                    } else if width == Width::D {
-                        let v = width.mask(regs.gpr(dst));
-                        regs.set_gpr(dst, v);
-                    }
-                }
-                Inst::Setcc { cond, dst } => {
-                    let v = u64::from(regs.flags.cond(cond));
-                    regs.set_gpr(dst, v);
-                    put_t!(dst, Width::Q, flags_taint);
-                }
-                Inst::Jmp { target } => match prog.resolve(target) {
-                    Some(t) => next = t,
-                    None => break 'window,
-                },
-                Inst::Jcc { target, .. } => {
-                    // Nested branches follow the predictor (read-only: the
-                    // wrong path must not train the committed state).
-                    let predicted = predictor.get(pc).is_some_and(|&c| c >= 2);
-                    if predicted {
-                        match prog.resolve(target) {
-                            Some(t) => next = t,
-                            None => break 'window,
-                        }
-                    }
-                }
-                Inst::JmpReg { reg } => {
-                    if is_t!(reg) {
-                        // Secret-steered fetch: the target itself transmits.
-                        stats.spec_leaks += 1;
-                        break 'window;
-                    }
-                    // The transient front end follows the BTB, not the
-                    // (not-yet-executed) register value.
-                    match btb.get(&pc) {
-                        Some(&t) if t < insts.len() => next = t,
-                        _ => break 'window,
-                    }
-                }
-                Inst::Call { target } => match prog.resolve(target) {
-                    Some(t) => {
-                        spec_stack.push(pc + 1);
-                        next = t;
-                    }
-                    None => break 'window,
-                },
-                Inst::CallReg { reg } => {
-                    if is_t!(reg) {
-                        stats.spec_leaks += 1;
-                        break 'window;
-                    }
-                    match btb.get(&pc) {
-                        Some(&t) if t < insts.len() => {
-                            spec_stack.push(pc + 1);
-                            next = t;
-                        }
-                        _ => break 'window,
-                    }
-                }
-                Inst::Ret => match spec_stack.pop() {
-                    Some(ra) => next = ra,
-                    // Returning into the committed caller would need the
-                    // real RSB; end the window instead.
-                    None => break 'window,
-                },
-                // The window cannot cross host transitions, serializing
-                // system writes, faults, or an lfence — the last one being
-                // exactly the mitigation contract.
-                Inst::CallHost { .. }
-                | Inst::WrGsBase { .. }
-                | Inst::WrFsBase { .. }
-                | Inst::WrPkru
-                | Inst::Ud2
-                | Inst::Lfence => break 'window,
-                Inst::RdGsBase { dst } => {
-                    let v = regs.gs_base;
-                    regs.set_gpr(dst, v);
-                    put_t!(dst, Width::Q, false);
-                }
-                Inst::RdPkru => {
-                    let v = u64::from(regs.pkru);
-                    regs.set_gpr(Gpr::Rax, v);
-                    put_t!(Gpr::Rax, Width::Q, false);
-                }
-                Inst::Push { reg } => {
-                    let sp = regs.gpr(Gpr::Rsp).wrapping_sub(8);
-                    regs.set_gpr(Gpr::Rsp, sp);
-                    if is_t!(Gpr::Rsp) {
-                        stats.spec_leaks += 1;
-                    }
-                    self.dcache.access_range(sp, 8);
-                    spec_store!(sp, Width::Q, regs.gpr(reg), is_t!(reg));
-                }
-                Inst::Pop { reg } => {
-                    let sp = regs.gpr(Gpr::Rsp);
-                    if is_t!(Gpr::Rsp) {
-                        stats.spec_leaks += 1;
-                    }
-                    self.dcache.access_range(sp, 8);
-                    let (v, t) = spec_load!(sp, Width::Q);
-                    regs.set_gpr(reg, v);
-                    regs.set_gpr(Gpr::Rsp, sp.wrapping_add(8));
-                    put_t!(reg, Width::Q, t);
-                }
-                Inst::MovdquLoad { dst, mem } => {
-                    let ea = mem_ea!(&mem, 16);
-                    let (lo, t0) = spec_load!(ea, Width::Q);
-                    let (hi, t1) = spec_load!(ea.wrapping_add(8), Width::Q);
-                    regs.set_xmm(dst, (lo as u128) | ((hi as u128) << 64));
-                    let bit = 1u16 << dst.index();
-                    if t0 | t1 {
-                        xtaint |= bit;
-                    } else {
-                        xtaint &= !bit;
-                    }
-                }
-                Inst::MovdquStore { src, mem } => {
-                    let ea = mem_ea!(&mem, 16);
-                    let v = regs.xmm(src);
-                    let t = xtaint & (1u16 << src.index()) != 0;
-                    spec_store!(ea, Width::Q, v as u64, t);
-                    spec_store!(ea.wrapping_add(8), Width::Q, (v >> 64) as u64, t);
-                }
-                Inst::MovdqaRR { dst, src } => {
-                    let v = regs.xmm(src);
-                    regs.set_xmm(dst, v);
-                    let bit = 1u16 << dst.index();
-                    if xtaint & (1u16 << src.index()) != 0 {
-                        xtaint |= bit;
-                    } else {
-                        xtaint &= !bit;
-                    }
-                }
-                Inst::Nop => {}
-            }
-            pc = next;
-        }
-    }
-
-    #[inline]
-    fn ea(&self, mem: &crate::Mem) -> u64 {
-        mem.effective_addr(|r| self.regs.gpr(r), |s| self.regs.seg_base(s))
-    }
-
-    #[inline]
-    fn data_access(&mut self, stats: &mut RunStats, ea: u64, len: u64) -> f64 {
-        let misses = self.dcache.access_range(ea, len);
-        stats.dcache_misses += u64::from(misses);
-        f64::from(misses) * self.cost.dcache_miss_cycles
-    }
-
-    /// Exposed-latency charge for load-like instructions.
-    #[inline]
-    fn load_latency(&self) -> f64 {
-        self.cost.load_cycles
-    }
-
-    fn resolve(&self, prog: &Program, target: crate::Label) -> Result<usize, Trap> {
-        prog.resolve(target).ok_or(Trap::BadControlFlow { target: u64::from(target.0) })
-    }
-
-    /// Pure shift: `a` shifted/rotated by the pre-masked amount `n`.
-    fn shift_compute(op: ShiftOp, a: u64, n: u32, width: Width) -> u64 {
-        let bits = width.bytes() as u32 * 8;
-        let r = match op {
-            ShiftOp::Shl => a.wrapping_shl(n),
-            ShiftOp::Shr => a.wrapping_shr(n),
-            ShiftOp::Sar => (width.sext(a) as i64).wrapping_shr(n) as u64,
-            ShiftOp::Rol => {
-                if n == 0 {
-                    a
-                } else {
-                    (a << n | a >> (bits - n)) & width.mask(u64::MAX)
-                }
-            }
-            ShiftOp::Ror => {
-                if n == 0 {
-                    a
-                } else {
-                    (a >> n | a << (bits - n)) & width.mask(u64::MAX)
-                }
-            }
-        };
-        width.mask(r)
-    }
-
-    /// Pure ALU: result and flags, no machine state touched (shared between
-    /// the architectural path and the transient wrong-path interpreter).
-    fn alu_compute(op: AluOp, a: u64, b: u64, width: Width) -> (u64, Flags) {
-        let sign = width.sign_bit();
-        let (r, cf, of) = match op {
-            AluOp::Add => {
-                let r = width.mask(a.wrapping_add(b));
-                let cf = r < a;
-                let of = ((a ^ r) & (b ^ r)) >> sign & 1 == 1;
-                (r, cf, of)
-            }
-            AluOp::Sub | AluOp::Cmp => {
-                let r = width.mask(a.wrapping_sub(b));
-                let cf = a < b;
-                let of = ((a ^ b) & (a ^ r)) >> sign & 1 == 1;
-                (r, cf, of)
-            }
-            AluOp::And => (a & b, false, false),
-            AluOp::Or => (a | b, false, false),
-            AluOp::Xor => (a ^ b, false, false),
-        };
-        (r, Flags { zf: r == 0, sf: r >> sign & 1 == 1, cf, of })
-    }
-
-    fn alu(&mut self, op: AluOp, a: u64, b: u64, width: Width) -> u64 {
-        let (r, flags) = Self::alu_compute(op, a, b, width);
-        self.regs.flags = flags;
-        r
-    }
-
-    fn div(&mut self, src: Gpr, width: Width, signed: bool) -> Result<(), Trap> {
-        let d = width.mask(self.regs.gpr(src));
-        if d == 0 {
-            return Err(Trap::DivideError);
-        }
-        match width {
-            Width::Q => {
-                let lo = self.regs.gpr(Gpr::Rax) as u128;
-                let hi = self.regs.gpr(Gpr::Rdx) as u128;
-                let dividend = (hi << 64) | lo;
-                if signed {
-                    let dividend = dividend as i128;
-                    let divisor = self.regs.gpr(src) as i64 as i128;
-                    let q = dividend / divisor;
-                    let r = dividend % divisor;
-                    if q > i64::MAX as i128 || q < i64::MIN as i128 {
-                        return Err(Trap::DivideError);
-                    }
-                    self.regs.set_gpr(Gpr::Rax, q as u64);
-                    self.regs.set_gpr(Gpr::Rdx, r as u64);
-                } else {
-                    let divisor = self.regs.gpr(src) as u128;
-                    let q = dividend / divisor;
-                    if q > u64::MAX as u128 {
-                        return Err(Trap::DivideError);
-                    }
-                    self.regs.set_gpr(Gpr::Rax, q as u64);
-                    self.regs.set_gpr(Gpr::Rdx, (dividend % divisor) as u64);
-                }
-            }
-            _ => {
-                let bits = width.bytes() as u32 * 8;
-                let lo = width.mask(self.regs.gpr(Gpr::Rax));
-                let hi = width.mask(self.regs.gpr(Gpr::Rdx));
-                let dividend = (u128::from(hi) << bits) | u128::from(lo);
-                if signed {
-                    let shift = 128 - 2 * bits;
-                    let dividend = ((dividend << shift) as i128) >> shift;
-                    let divisor = i128::from(width.sext(d) as i64);
-                    let q = dividend / divisor;
-                    let r = dividend % divisor;
-                    let min = -(1i128 << (bits - 1));
-                    let max = (1i128 << (bits - 1)) - 1;
-                    if q < min || q > max {
-                        return Err(Trap::DivideError);
-                    }
-                    self.regs.write_width(Gpr::Rax, width, width.mask(q as u64));
-                    self.regs.write_width(Gpr::Rdx, width, width.mask(r as u64));
-                } else {
-                    let divisor = u128::from(d);
-                    let q = dividend / divisor;
-                    if q >> bits != 0 {
-                        return Err(Trap::DivideError);
-                    }
-                    self.regs.write_width(Gpr::Rax, width, q as u64);
-                    self.regs.write_width(Gpr::Rdx, width, (dividend % divisor) as u64);
-                }
+            let n = n & (width.bytes() as u32 * 8 - 1);
+            let r = shift_compute(op, width.mask(c.regs().gpr(dst)), n, width);
+            let t = c.tainted(dst) | amount_t;
+            c.write(dst, width, r, t);
+            if n != 0 {
+                let flags = &mut c.regs().flags;
+                flags.zf = r == 0;
+                flags.sf = r >> width.sign_bit() & 1 == 1;
+                c.set_flags_taint(t);
             }
         }
+        Inst::Neg { dst, width } => {
+            let a = width.mask(c.regs().gpr(dst));
+            let t = c.tainted(dst);
+            alu(c, AluOp::Sub, dst, 0, a, width, t);
+        }
+        Inst::Not { dst, width } => {
+            let regs = c.regs();
+            regs.write_width(dst, width, width.mask(!regs.gpr(dst)));
+        }
+        Inst::Cmov { cond, dst, src, width } => {
+            if c.regs().flags.cond(cond) {
+                let v = width.mask(c.regs().gpr(src));
+                let t = c.tainted(src) | c.flags_tainted();
+                c.write(dst, width, v, t);
+            } else if width == Width::D {
+                // cmov always writes in 32-bit form (zeroes upper).
+                let regs = c.regs();
+                regs.set_gpr(dst, width.mask(regs.gpr(dst)));
+            }
+        }
+        Inst::Setcc { cond, dst } => {
+            let v = u64::from(c.regs().flags.cond(cond));
+            let t = c.flags_tainted();
+            c.write(dst, Width::Q, v, t);
+        }
+        Inst::Jmp { target } => {
+            next = resolve(prog, target)?;
+            c.taken();
+        }
+        Inst::Jcc { cond, target } => {
+            if c.branch(pc, cond, target) {
+                next = resolve(prog, target)?;
+                c.taken();
+            }
+        }
+        Inst::JmpReg { reg } => {
+            next = c.indirect(pc, reg)?;
+            c.taken();
+        }
+        Inst::Call { target } => {
+            c.stack().push(pc + 1);
+            next = resolve(prog, target)?;
+            c.taken();
+        }
+        Inst::CallReg { reg } => {
+            next = c.indirect(pc, reg)?;
+            c.stack().push(pc + 1);
+            c.taken();
+        }
+        Inst::CallHost { func } => c.host(func)?,
+        Inst::Ret => match c.stack().pop() {
+            Some(ra) => {
+                next = ra;
+                c.taken();
+            }
+            None => return Ok(None),
+        },
+        Inst::Push { reg } => {
+            let regs = c.regs();
+            let sp = regs.gpr(Gpr::Rsp).wrapping_sub(8);
+            regs.set_gpr(Gpr::Rsp, sp);
+            let v = regs.gpr(reg);
+            let t = c.tainted(reg);
+            c.store(&Mem::base(Gpr::Rsp), Width::Q, v, t)?;
+        }
+        Inst::Pop { reg } => {
+            let (v, t) = c.load(&Mem::base(Gpr::Rsp), Width::Q)?;
+            let regs = c.regs();
+            let sp = regs.gpr(Gpr::Rsp);
+            regs.set_gpr(reg, v);
+            regs.set_gpr(Gpr::Rsp, sp.wrapping_add(8));
+            c.set_taint(reg, Width::Q, t);
+        }
+        Inst::MovdquLoad { dst, mem } => {
+            let (v, t) = c.load128(&mem)?;
+            c.regs().set_xmm(dst, v);
+            c.set_xmm_taint(dst, t);
+        }
+        Inst::MovdquStore { src, mem } => {
+            let v = c.regs().xmm(src);
+            let t = c.xmm_tainted(src);
+            c.store128(&mem, v, t)?;
+        }
+        Inst::MovdqaRR { dst, src } => {
+            let v = c.regs().xmm(src);
+            let t = c.xmm_tainted(src);
+            c.regs().set_xmm(dst, v);
+            c.set_xmm_taint(dst, t);
+        }
+        Inst::WrGsBase { src } => {
+            c.serialize(true)?;
+            let regs = c.regs();
+            regs.gs_base = regs.gpr(src);
+        }
+        Inst::RdGsBase { dst } => {
+            let v = c.regs().gs_base;
+            c.write(dst, Width::Q, v, false);
+        }
+        Inst::WrFsBase { src } => {
+            c.serialize(true)?;
+            let regs = c.regs();
+            regs.fs_base = regs.gpr(src);
+        }
+        Inst::WrPkru => {
+            c.serialize(true)?;
+            let regs = c.regs();
+            regs.pkru = regs.gpr(Gpr::Rax) as u32;
+        }
+        Inst::RdPkru => {
+            let v = u64::from(c.regs().pkru);
+            c.write(Gpr::Rax, Width::Q, v, false);
+        }
+        Inst::Ud2 => return Err(Trap::Undefined.into()),
+        // Architecturally a no-op: its effects are that no transient
+        // window crosses it and the cost model's serial-dispatch charge.
+        Inst::Lfence => c.serialize(false)?,
+        Inst::Nop => {}
+    }
+    Ok(Some(next))
+}
+
+/// `dst = a op b` (unless `op` only compares), setting the flags.
+#[inline(always)]
+fn alu<C: Exec>(c: &mut C, op: AluOp, dst: Gpr, a: u64, b: u64, width: Width, t: bool) {
+    let (r, flags) = alu_compute(op, a, b, width);
+    c.regs().flags = flags;
+    c.set_flags_taint(t);
+    if op.writes_dst() {
+        c.write(dst, width, r, t);
+    }
+}
+
+fn resolve(prog: &Program, target: Label) -> Result<usize, Trap> {
+    prog.resolve(target).ok_or(Trap::BadControlFlow { target: u64::from(target.0) })
+}
+
+/// The committed context: the architectural registers, the bus, the
+/// caches, the predictor state that committed branches train, the run's
+/// [`RunStats`] and the cycle charge of the instruction being retired.
+struct Committed<'a, M: MemBus> {
+    m: &'a mut Machine,
+    bus: &'a mut M,
+    host: &'a mut HostHandler<'a, M>,
+    image: &'a Image,
+    stats: RunStats,
+    cycles: f64,
+    pred: &'a mut Predictors,
+    stack: &'a mut Vec<usize>,
+}
+
+/// The predictor state committed branches train and a window follows.
+struct Predictors {
+    /// 2-bit counters per instruction site (weakly taken initial state).
+    counters: Vec<u8>,
+    btb: HashMap<usize, usize>,
+}
+
+impl<M: MemBus> Committed<'_, M> {
+    /// Address and bus context of a data access: counts it and charges the
+    /// exposed load latency (loads only), then the D-cache misses. Counting
+    /// before the bus access is safe: a faulting run returns no stats.
+    fn access(&mut self, mem: &Mem, len: u64, load: bool) -> (u64, AccessCtx) {
+        if load {
+            self.stats.loads += 1;
+            self.cycles += self.m.cost.load_cycles;
+        } else {
+            self.stats.stores += 1;
+        }
+        let ea = self.m.regs.ea(mem);
+        let misses = self.m.dcache.access_range(ea, len);
+        self.stats.dcache_misses += u64::from(misses);
+        self.cycles += f64::from(misses) * self.m.cost.dcache_miss_cycles;
+        (ea, AccessCtx { pkru: self.m.regs.pkru })
+    }
+}
+
+impl<M: MemBus> Exec for Committed<'_, M> {
+    type Halt = Trap;
+
+    fn regs(&mut self) -> &mut RegFile {
+        &mut self.m.regs
+    }
+
+    fn stack(&mut self) -> &mut Vec<usize> {
+        self.stack
+    }
+
+    fn load(&mut self, mem: &Mem, w: Width) -> Result<(u64, bool), Trap> {
+        let (ea, ctx) = self.access(mem, w.bytes(), true);
+        Ok((self.bus.load(ea, w, ctx)?, false))
+    }
+
+    fn store(&mut self, mem: &Mem, w: Width, v: u64, _t: bool) -> Result<(), Trap> {
+        let (ea, ctx) = self.access(mem, w.bytes(), false);
+        Ok(self.bus.store(ea, w, v, ctx)?)
+    }
+
+    fn load128(&mut self, mem: &Mem) -> Result<(u128, bool), Trap> {
+        let (ea, ctx) = self.access(mem, 16, true);
+        Ok((self.bus.load128(ea, ctx)?, false))
+    }
+
+    fn store128(&mut self, mem: &Mem, v: u128, _t: bool) -> Result<(), Trap> {
+        let (ea, ctx) = self.access(mem, 16, false);
+        Ok(self.bus.store128(ea, v, ctx)?)
+    }
+
+    fn branch(&mut self, pc: usize, cond: Cond, target: Label) -> bool {
+        self.stats.branches += 1;
+        let taken = self.m.regs.flags.cond(cond);
+        let ctr = &mut self.pred.counters[pc];
+        let predicted_taken = *ctr >= 2;
+        *ctr = if taken { (*ctr + 1).min(3) } else { ctr.saturating_sub(1) };
+        if predicted_taken != taken {
+            self.stats.branch_misses += 1;
+            self.cycles += self.m.cost.branch_miss_cycles;
+            // Wrong-path fetch: the front end ran down the *predicted*
+            // direction until the mispredict resolved.
+            let wrong = if predicted_taken { self.image.program.resolve(target) } else { Some(pc + 1) };
+            if let Some(start) = wrong {
+                open_window(self.m, self.bus, &mut self.stats, self.pred, self.image, start);
+            }
+        }
+        taken
+    }
+
+    fn indirect(&mut self, pc: usize, reg: Gpr) -> Result<usize, Trap> {
+        self.stats.branches += 1;
+        let t = self.m.regs.gpr(reg) as usize;
+        if t >= self.image.program.insts().len() {
+            return Err(Trap::BadControlFlow { target: t as u64 });
+        }
+        let prev = self.pred.btb.insert(pc, t);
+        if prev != Some(t) {
+            self.stats.branch_misses += 1;
+            self.cycles += self.m.cost.branch_miss_cycles;
+            // Stale BTB entry: the front end speculated into the *previous*
+            // target with the *current* register state — the transient
+            // type-confusion channel.
+            if let Some(old) = prev {
+                open_window(self.m, self.bus, &mut self.stats, self.pred, self.image, old);
+            }
+        }
+        Ok(t)
+    }
+
+    fn taken(&mut self) {
+        self.cycles += self.m.cost.taken_branch_cycles;
+    }
+
+    fn host(&mut self, func: u32) -> Result<(), Trap> {
+        self.stats.host_calls += 1;
+        self.cycles += (self.host)(func, &mut self.m.regs, self.bus)?;
         Ok(())
     }
+
+    fn serialize(&mut self, privileged: bool) -> Result<(), Trap> {
+        if privileged && !self.m.allow_system { Err(Trap::PrivilegedInstruction) } else { Ok(()) }
+    }
+}
+
+/// Opens a transient window at `start` if speculation is enabled. It runs
+/// out of line, with the window's state local to it, and the committed
+/// context lends it fields, never itself, so that context stays in
+/// registers.
+#[inline(never)]
+fn open_window<M: MemBus>(
+    m: &mut Machine,
+    bus: &mut M,
+    stats: &mut RunStats,
+    pred: &Predictors,
+    image: &Image,
+    start: usize,
+) {
+    if let Some(spec) = m.spec {
+        Transient::new(m, bus, stats, pred, image, spec).run(start);
+    }
+}
+
+/// The end of a transient window.
+struct WindowEnd;
+
+impl From<Trap> for WindowEnd {
+    fn from(_: Trap) -> WindowEnd {
+        WindowEnd
+    }
+}
+
+/// The transient context: one wrong-path window (DESIGN.md §16).
+///
+/// Registers and flags are a discarded clone, stores land in a forwarding
+/// buffer that never reaches the bus, and nothing is charged to `cycles`
+/// (the spec buckets are pure counters, so the exact-sum invariant is
+/// untouched). Two effects persist past the rollback: the cache footprint,
+/// which **is** the side channel, and the leak counter.
+struct Transient<'a, M: MemBus> {
+    /// Caches and cost model only: the committed `m.regs` stay untouched.
+    m: &'a mut Machine,
+    bus: &'a mut M,
+    stats: &'a mut RunStats,
+    /// Followed read-only: the wrong path must not train it.
+    pred: &'a Predictors,
+    image: &'a Image,
+    spec: SpecConfig,
+    regs: RegFile,
+    /// Taint bits per GPR, per XMM register and of the flags: a load from
+    /// the secret region taints its destination, and taint flows through
+    /// ALU ops, moves, shifts and store-to-load forwarding.
+    taint: u16,
+    xtaint: u16,
+    flags_taint: bool,
+    /// Byte-granular store-forwarding buffer, each byte carrying taint.
+    store_buf: HashMap<u64, (u8, bool)>,
+    stack: Vec<usize>,
+}
+
+impl<'a, M: MemBus> Transient<'a, M> {
+    /// A window starting from `m`'s committed registers, untainted.
+    fn new(
+        m: &'a mut Machine,
+        bus: &'a mut M,
+        stats: &'a mut RunStats,
+        pred: &'a Predictors,
+        image: &'a Image,
+        spec: SpecConfig,
+    ) -> Self {
+        let (regs, store_buf, stack) = (m.regs.clone(), HashMap::new(), Vec::new());
+        let (taint, xtaint, flags_taint) = (0, 0, false);
+        Transient { m, bus, stats, pred, image, spec, regs, taint, xtaint, flags_taint, store_buf, stack }
+    }
+
+    /// Executes wrong-path µops from `start` until the budget runs out or
+    /// an instruction ends the window.
+    #[inline(always)]
+    fn run(&mut self, start: usize) {
+        self.stats.spec_flushes += 1;
+        let image = self.image;
+        let mut pc = start;
+        let mut budget = i64::from(self.spec.window);
+        while budget > 0 && pc < image.program.insts().len() {
+            let uops = self.m.cost.uops(&image.program.insts()[pc]).ceil().max(1.0) as i64;
+            budget -= uops;
+            self.stats.spec_uops += uops as u64;
+            // Wrong-path fetch touches the I-cache; the footprint persists.
+            self.m.icache.access(u64::from(image.encoded.offsets[pc]));
+            match step(self, &image.program, pc) {
+                Ok(Some(next)) => pc = next,
+                Ok(None) | Err(WindowEnd) => break,
+            }
+        }
+    }
+
+    /// Address of a transient access: touches the D-cache (the persistent
+    /// footprint) and records a leak when the address is secret-derived —
+    /// that touch is the transmit.
+    fn access(&mut self, mem: &Mem, len: u64) -> u64 {
+        if self.addr_tainted(mem) {
+            self.stats.spec_leaks += 1;
+        }
+        let ea = self.regs.ea(mem);
+        self.m.dcache.access_range(ea, len);
+        ea
+    }
+
+    /// Transient load value + taint: secret-region bytes are synthesized
+    /// (the region lies outside the mapped sandbox, where the bus would
+    /// fault) and tainted; other loads read the bus, a fault forwarding
+    /// zero; the store buffer overlays both.
+    fn read(&mut self, ea: u64, w: Width) -> (u64, bool) {
+        let mut t = self.spec.in_secret(ea);
+        let mut v = if t {
+            (0..w.bytes()).fold(0, |x, i| x | u64::from(ea.wrapping_add(i) as u8 ^ 0xA5) << (8 * i))
+        } else {
+            self.bus.load(ea, w, AccessCtx { pkru: self.regs.pkru }).unwrap_or(0)
+        };
+        for i in 0..w.bytes() {
+            if let Some(&(b, bt)) = self.store_buf.get(&ea.wrapping_add(i)) {
+                v = (v & !(0xFFu64 << (8 * i))) | (u64::from(b) << (8 * i));
+                t |= bt;
+            }
+        }
+        (v, t)
+    }
+
+    fn buffer(&mut self, ea: u64, len: u64, v: u128, t: bool) {
+        for i in 0..len {
+            self.store_buf.insert(ea.wrapping_add(i), ((v >> (8 * i)) as u8, t));
+        }
+    }
+}
+
+impl<M: MemBus> Exec for Transient<'_, M> {
+    type Halt = WindowEnd;
+
+    fn regs(&mut self) -> &mut RegFile {
+        &mut self.regs
+    }
+
+    fn stack(&mut self) -> &mut Vec<usize> {
+        &mut self.stack
+    }
+
+    fn load(&mut self, mem: &Mem, w: Width) -> Result<(u64, bool), WindowEnd> {
+        let ea = self.access(mem, w.bytes());
+        Ok(self.read(ea, w))
+    }
+
+    fn store(&mut self, mem: &Mem, w: Width, v: u64, t: bool) -> Result<(), WindowEnd> {
+        let ea = self.access(mem, w.bytes());
+        self.buffer(ea, w.bytes(), u128::from(v), t);
+        Ok(())
+    }
+
+    fn load128(&mut self, mem: &Mem) -> Result<(u128, bool), WindowEnd> {
+        let ea = self.access(mem, 16);
+        let (lo, t0) = self.read(ea, Width::Q);
+        let (hi, t1) = self.read(ea.wrapping_add(8), Width::Q);
+        Ok((u128::from(lo) | (u128::from(hi) << 64), t0 | t1))
+    }
+
+    fn store128(&mut self, mem: &Mem, v: u128, t: bool) -> Result<(), WindowEnd> {
+        let ea = self.access(mem, 16);
+        self.buffer(ea, 16, v, t);
+        Ok(())
+    }
+
+    fn branch(&mut self, pc: usize, _cond: Cond, _target: Label) -> bool {
+        self.pred.counters[pc] >= 2
+    }
+
+    fn indirect(&mut self, pc: usize, reg: Gpr) -> Result<usize, WindowEnd> {
+        if self.tainted(reg) {
+            // Secret-steered fetch: the target itself transmits.
+            self.stats.spec_leaks += 1;
+            return Err(WindowEnd);
+        }
+        // The transient front end follows the BTB, not the (not yet
+        // executed) register value. Committed execution range-checks every
+        // target before inserting it.
+        self.pred.btb.get(&pc).copied().ok_or(WindowEnd)
+    }
+
+    fn taken(&mut self) {}
+
+    /// Host transitions end the window.
+    fn host(&mut self, _func: u32) -> Result<(), WindowEnd> {
+        Err(WindowEnd)
+    }
+
+    /// So do serializing instructions, `lfence` being exactly the
+    /// mitigation contract.
+    fn serialize(&mut self, _privileged: bool) -> Result<(), WindowEnd> {
+        Err(WindowEnd)
+    }
+
+    fn tainted(&self, r: Gpr) -> bool {
+        self.taint >> r.index() & 1 == 1
+    }
+
+    /// 32/64-bit destinations are fully overwritten (taint replaced);
+    /// 8/16-bit writes merge (taint ORs).
+    fn set_taint(&mut self, r: Gpr, w: Width, t: bool) {
+        if t || matches!(w, Width::Q | Width::D) {
+            self.taint = (self.taint & !(1 << r.index())) | (u16::from(t) << r.index());
+        }
+    }
+
+    fn xmm_tainted(&self, x: Xmm) -> bool {
+        self.xtaint >> x.index() & 1 == 1
+    }
+
+    fn set_xmm_taint(&mut self, x: Xmm, t: bool) {
+        self.xtaint = (self.xtaint & !(1 << x.index())) | (u16::from(t) << x.index());
+    }
+
+    fn flags_tainted(&self) -> bool {
+        self.flags_taint
+    }
+
+    fn set_flags_taint(&mut self, t: bool) {
+        self.flags_taint = t;
+    }
+}
+
+/// Pure shift: `a` shifted/rotated by the pre-masked amount `n`.
+fn shift_compute(op: ShiftOp, a: u64, n: u32, width: Width) -> u64 {
+    let bits = width.bytes() as u32 * 8;
+    let r = match op {
+        ShiftOp::Shl => a.wrapping_shl(n),
+        ShiftOp::Shr => a.wrapping_shr(n),
+        ShiftOp::Sar => (width.sext(a) as i64).wrapping_shr(n) as u64,
+        ShiftOp::Rol | ShiftOp::Ror if n == 0 => a,
+        ShiftOp::Rol => a << n | a >> (bits - n),
+        ShiftOp::Ror => a >> n | a << (bits - n),
+    };
+    width.mask(r)
+}
+
+/// Pure ALU: result and flags.
+#[inline(always)]
+fn alu_compute(op: AluOp, a: u64, b: u64, width: Width) -> (u64, Flags) {
+    let sign = width.sign_bit();
+    let (r, cf, of) = match op {
+        AluOp::Add => {
+            let r = width.mask(a.wrapping_add(b));
+            let cf = r < a;
+            let of = ((a ^ r) & (b ^ r)) >> sign & 1 == 1;
+            (r, cf, of)
+        }
+        AluOp::Sub | AluOp::Cmp => {
+            let r = width.mask(a.wrapping_sub(b));
+            let cf = a < b;
+            let of = ((a ^ b) & (a ^ r)) >> sign & 1 == 1;
+            (r, cf, of)
+        }
+        AluOp::And => (a & b, false, false),
+        AluOp::Or => (a | b, false, false),
+        AluOp::Xor => (a ^ b, false, false),
+    };
+    (r, Flags { zf: r == 0, sf: r >> sign & 1 == 1, cf, of })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mem;
+    use crate::Scale;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn run_prog(p: &Program, mem_size: usize) -> (Machine, FlatMemory, RunStats) {
         let mut mem = FlatMemory::new(mem_size);
@@ -1584,6 +1434,20 @@ mod tests {
         let mut m = Machine::new();
         let image = Image::load(p).unwrap();
         assert_eq!(m.run_image(&image, &mut mem), Err(Trap::DivideError));
+    }
+
+    #[test]
+    fn idiv_quotient_overflow_traps() {
+        // rdx:rax = -2^127 over -1: the quotient fits no register (#DE).
+        let mut p = Program::new();
+        p.push(Inst::MovRI { dst: Gpr::Rdx, imm: i64::MIN, width: Width::Q });
+        p.push(Inst::MovRI { dst: Gpr::Rax, imm: 0, width: Width::Q });
+        p.push(Inst::MovRI { dst: Gpr::Rbx, imm: -1, width: Width::Q });
+        p.push(Inst::Div { src: Gpr::Rbx, width: Width::Q, signed: true });
+        p.push(Inst::Ret);
+        let mut mem = FlatMemory::new(64);
+        let image = Image::load(p).unwrap();
+        assert_eq!(Machine::new().run_image(&image, &mut mem), Err(Trap::DivideError));
     }
 
     #[test]
@@ -1902,5 +1766,142 @@ mod tests {
         let (m, _, _) = run_prog(&p, 64);
         assert_eq!(m.gpr(Gpr::Rcx), 1);
         assert_eq!(m.gpr(Gpr::Rdx), 1);
+    }
+
+    /// Memory for the twin test: every operand `twin_mem` builds lands in
+    /// `[0x100, 0x200)`.
+    const TWIN_MEM: usize = 0x400;
+
+    fn twin_gpr(rng: &mut StdRng) -> Gpr {
+        // r14/r15 are the fixed index/base of every memory operand.
+        Gpr::ALL[rng.gen_range(0..14)]
+    }
+
+    fn twin_width(rng: &mut StdRng) -> Width {
+        [Width::B, Width::W, Width::D, Width::Q][rng.gen_range(0..4)]
+    }
+
+    /// `[r15 + r14*s + disp]`, optionally `gs:`-relative and/or addr32.
+    fn twin_mem(rng: &mut StdRng) -> Mem {
+        let scale = [Scale::S1, Scale::S2, Scale::S4, Scale::S8][rng.gen_range(0..4)];
+        let mut m = Mem::bisd(Gpr::R15, Gpr::R14, scale, rng.gen_range(0..0x80));
+        if rng.gen_bool(0.3) {
+            m = m.with_seg(Seg::Gs);
+        }
+        if rng.gen_bool(0.3) {
+            m = m.with_addr32();
+        }
+        m
+    }
+
+    /// A seeded straight-line sequence: no branches, nothing that ends a
+    /// transient window, every access in bounds.
+    fn twin_program(rng: &mut StdRng) -> Program {
+        const ALU: [AluOp; 6] = [AluOp::Add, AluOp::Sub, AluOp::And, AluOp::Or, AluOp::Xor, AluOp::Cmp];
+        const SHIFT: [ShiftOp; 5] = [ShiftOp::Shl, ShiftOp::Shr, ShiftOp::Sar, ShiftOp::Rol, ShiftOp::Ror];
+        const COND: [Cond; 4] = [Cond::E, Cond::L, Cond::B, Cond::A];
+        let mut p = Program::new();
+        for _ in 0..rng.gen_range(8..32) {
+            let (dst, src, width) = (twin_gpr(rng), twin_gpr(rng), twin_width(rng));
+            let (op, cond) = (ALU[rng.gen_range(0..6)], COND[rng.gen_range(0..4)]);
+            let x = Xmm(rng.gen_range(0..16));
+            p.push(match rng.gen_range(0..23) {
+                0 => Inst::MovRR { dst, src, width },
+                1 => Inst::MovRI { dst, imm: rng.gen(), width },
+                2 => {
+                    let index = if src == Gpr::Rsp { Gpr::Rbp } else { src };
+                    let mem = Mem::bisd(dst, index, Scale::S4, rng.gen());
+                    Inst::Lea { dst: twin_gpr(rng), mem, width }
+                }
+                3 => Inst::AluRR { op, dst, src, width },
+                4 => Inst::AluRI { op, dst, imm: rng.gen(), width },
+                5 => Inst::AluRM { op, dst, mem: twin_mem(rng), width },
+                6 => Inst::TestRR { a: dst, b: src, width },
+                7 => {
+                    let amount = if rng.gen_bool(0.5) {
+                        ShiftAmount::Cl
+                    } else {
+                        ShiftAmount::Imm(rng.gen_range(0..64))
+                    };
+                    Inst::Shift { op: SHIFT[rng.gen_range(0..5)], dst, amount, width }
+                }
+                8 => Inst::Imul { dst, src, width },
+                9 => Inst::ImulRRI { dst, src, imm: rng.gen(), width },
+                10 => Inst::Neg { dst, width },
+                11 => Inst::Not { dst, width },
+                12 => Inst::Cdq { width },
+                13 => Inst::Movzx { dst, src, from: width },
+                14 => Inst::Movsx { dst, src, from: width },
+                15 => Inst::Cmov { cond, dst, src, width },
+                16 => Inst::Setcc { cond, dst },
+                17 => Inst::Load { dst, mem: twin_mem(rng), width },
+                18 => Inst::LoadSx { dst, mem: twin_mem(rng), width },
+                19 => Inst::Store { src, mem: twin_mem(rng), width },
+                20 => Inst::StoreImm { imm: rng.gen(), mem: twin_mem(rng), width },
+                21 => Inst::MovdquLoad { dst: x, mem: twin_mem(rng) },
+                _ if rng.gen_bool(0.5) => Inst::MovdquStore { src: x, mem: twin_mem(rng) },
+                _ => Inst::MovdqaRR { dst: x, src: Xmm(rng.gen_range(0..16)) },
+            });
+        }
+        p
+    }
+
+    /// The committed-vs-transient twin check: a straight-line sequence run
+    /// committed and run as a transient window (longer than the sequence,
+    /// with the secret region outside memory) from the same start state
+    /// ends with the same registers and flags, and the window's store
+    /// buffer is exactly the committed memory delta.
+    #[test]
+    fn transient_step_matches_committed() {
+        let spec = SpecConfig::new(SpecConfig::MAX_WINDOW, 1 << 40, (1 << 40) + 0x1000).unwrap();
+        for seed in 0..256 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let image = Image::load(twin_program(&mut rng)).unwrap();
+            let mut start = Machine::new();
+            for r in Gpr::ALL {
+                start.set_gpr(r, rng.gen());
+            }
+            for x in 0..16 {
+                start.regs.set_xmm(Xmm(x), rng.gen());
+            }
+            start.set_gpr(Gpr::R14, rng.gen_range(0..8));
+            start.set_gpr(Gpr::R15, 0x100);
+            start.regs.gs_base = 0x40;
+            start.regs.flags = Flags { zf: rng.gen(), sf: rng.gen(), cf: rng.gen(), of: rng.gen() };
+            let mut mem = FlatMemory::new(TWIN_MEM);
+            rng.fill(mem.bytes_mut());
+
+            let mut committed = start.clone();
+            let mut committed_mem = mem.clone();
+            committed.run_image(&image, &mut committed_mem).unwrap();
+
+            let mut replay = mem.bytes().to_vec();
+            let mut stats = RunStats::default();
+            let pred = Predictors { counters: Vec::new(), btb: HashMap::new() };
+            let mut t = Transient::new(&mut start, &mut mem, &mut stats, &pred, &image, spec);
+            t.run(0);
+            for r in Gpr::ALL {
+                assert_eq!(t.regs.gpr(r), committed.gpr(r), "seed {seed}: {r:?}");
+            }
+            for x in (0..16).map(Xmm) {
+                assert_eq!(t.regs.xmm(x), committed.regs.xmm(x), "seed {seed}: {x:?}");
+            }
+            assert_eq!(t.regs.flags, committed.regs.flags, "seed {seed}: flags");
+            let taint = (t.taint, t.xtaint, t.flags_taint);
+            assert_eq!(taint, (0, 0, false), "seed {seed}: taint");
+            for (&addr, &(byte, taint)) in &t.store_buf {
+                assert!(!taint, "seed {seed}: tainted store at {addr:#x}");
+                replay[addr as usize] = byte;
+            }
+            assert_eq!(replay, committed_mem.bytes(), "seed {seed}: store buffer vs memory delta");
+            let uops: u64 = image
+                .program()
+                .insts()
+                .iter()
+                .map(|i| CostModel::default().uops(i).ceil().max(1.0) as u64)
+                .sum();
+            assert!(uops < u64::from(spec.window()), "seed {seed}: the window must outlast the sequence");
+            assert_eq!((stats.spec_uops, stats.spec_leaks), (uops, 0), "seed {seed}: window cut short");
+        }
     }
 }

@@ -7,6 +7,14 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release --offline
 
+echo "== host-time benchmark: build + smoke run =="
+# hostbench/ is its own Cargo workspace, so the build above does not compile
+# it: without this step an API break in the crates first shows up in a
+# benchmark run. One short pass of every workload must check out.
+HB_LAST=$(cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
+  --workload all --seed 1 --seconds 1 | tail -1)
+echo "$HB_LAST" | grep -q '"correct": true' || { echo "hostbench smoke failed: ${HB_LAST:0:300}"; exit 1; }
+
 echo "== tests (workspace) =="
 cargo test -q --offline --workspace
 

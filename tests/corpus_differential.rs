@@ -6,7 +6,7 @@
 //! exercise the rest under `--release`.)
 
 use segue_colorguard::core::harness::execute_export;
-use segue_colorguard::core::{compile, Strategy};
+use segue_colorguard::core::{compile, CompilerConfig, MitigationLevel, Strategy};
 use segue_colorguard::runtime::Engine;
 use segue_colorguard::wasm::interp::Interpreter;
 
@@ -43,7 +43,7 @@ fn corpus_compiled_matches_interpreter() {
             Strategy::BoundsCheck,
             Strategy::BoundsCheckSegue,
         ] {
-            let cfg = sfi_bench_config(strategy, module.mem_min_pages);
+            let cfg = CompilerConfig::for_module(strategy, module.mem_min_pages);
             let cm = compile(&module, &cfg).expect("compiles");
             let out = execute_export(&cm, "run", &[]).expect("runs");
             assert_eq!(
@@ -69,12 +69,12 @@ fn vectorizer_never_changes_results() {
         let module = w.module();
         for strategy in [Strategy::GuardRegion, Strategy::Segue, Strategy::SegueLoads] {
             let plain = {
-                let cfg = sfi_bench_config(strategy, module.mem_min_pages);
+                let cfg = CompilerConfig::for_module(strategy, module.mem_min_pages);
                 let cm = compile(&module, &cfg).expect("compiles");
                 execute_export(&cm, "run", &[]).expect("runs").result
             };
             let vectorized = {
-                let mut cfg = sfi_bench_config(strategy, module.mem_min_pages);
+                let mut cfg = CompilerConfig::for_module(strategy, module.mem_min_pages);
                 cfg.vectorize = true;
                 let cm = compile(&module, &cfg).expect("compiles");
                 execute_export(&cm, "run", &[]).expect("runs").result
@@ -107,7 +107,7 @@ fn full_corpus_all_strategies_and_vectorizer_match_interpreter() {
         for strategy in PROTECTED {
             for vectorize in [false, true] {
                 for optimized in [false, true] {
-                    let mut cfg = sfi_bench_config(strategy, module.mem_min_pages);
+                    let mut cfg = CompilerConfig::for_module(strategy, module.mem_min_pages);
                     cfg.vectorize = vectorize;
                     if optimized {
                         cfg = cfg.optimized();
@@ -147,7 +147,7 @@ fn cache_hit_is_observationally_identical_to_fresh_compile() {
     for w in fast_subset() {
         let module = w.module();
         for strategy in [Strategy::Segue, Strategy::BoundsCheck] {
-            let cfg = sfi_bench_config(strategy, module.mem_min_pages);
+            let cfg = CompilerConfig::for_module(strategy, module.mem_min_pages);
 
             let first = engine.load(&module, &cfg, 7).expect("compiles");
             let hit = engine.load(&module, &cfg, 7).expect("cache hit");
@@ -182,7 +182,7 @@ fn optimized_tier_matches_interpreter_on_corpus_subset() {
             .expect("corpus returns a checksum");
 
         for strategy in PROTECTED {
-            let cfg = sfi_bench_config(strategy, module.mem_min_pages).optimized();
+            let cfg = CompilerConfig::for_module(strategy, module.mem_min_pages).optimized();
             let cm = compile(&module, &cfg).expect("compiles");
             let out = execute_export(&cm, "run", &[]).expect("runs");
             assert_eq!(
@@ -242,11 +242,8 @@ fn lfi_rewriting_preserves_results() {
     use segue_colorguard::lfi::{execute_rewritten, LfiConfig};
     for w in fast_subset() {
         let module = w.native_module();
-        let mut cfg = sfi_bench_config(Strategy::Native, module.mem_min_pages);
+        let mut cfg = CompilerConfig::for_module(Strategy::Native, module.mem_min_pages);
         cfg.lfi_reserved_regs = true;
-        cfg.stack_check = false;
-        cfg.layout.heap_base = 0;
-        relocate_regions_above_heap(&mut cfg);
         let cm = compile(&module, &cfg).expect("compiles");
         let native = execute_export(&cm, "run", &[]).expect("runs").result;
         let (base, _) =
@@ -258,28 +255,25 @@ fn lfi_rewriting_preserves_results() {
     }
 }
 
-/// Mirrors `sfi_bench::config_for` without depending on the bench crate
-/// (which is dev-only plumbing).
-fn sfi_bench_config(
-    strategy: Strategy,
-    mem_pages: u32,
-) -> segue_colorguard::core::CompilerConfig {
-    let mem_size = (u64::from(mem_pages) * 65536).next_power_of_two();
-    let mut cfg = segue_colorguard::core::CompilerConfig::for_strategy(strategy);
-    cfg.layout.mem_size = mem_size;
-    if strategy == Strategy::Native {
-        cfg.layout.heap_base = 0;
-        cfg.stack_check = false;
-        relocate_regions_above_heap(&mut cfg);
+#[test]
+fn undersized_layouts_are_rejected_and_sized_layouts_match() {
+    let w = segue_colorguard::workloads::spec2006()
+        .into_iter()
+        .find(|w| w.name == "401_bzip2")
+        .expect("401_bzip2 is in the corpus");
+    let module = w.module();
+    assert!(module.mem_min_pages > 1, "401_bzip2 needs more than the 64 KiB test layout");
+    assert!(matches!(
+        compile(&module, &CompilerConfig::for_strategy(Strategy::Masking)),
+        Err(segue_colorguard::core::CompileError::LayoutTooSmall { .. })
+    ));
+    let expected = Interpreter::new(&module).unwrap().invoke_export("run", &[]).unwrap();
+    let masking = CompilerConfig::for_module(Strategy::Masking, module.mem_min_pages);
+    let index_mask = CompilerConfig::for_module(Strategy::Segue, module.mem_min_pages)
+        .mitigated(MitigationLevel::IndexMask);
+    for cfg in [masking, index_mask] {
+        let cm = compile(&module, &cfg).expect("compiles");
+        let got = execute_export(&cm, "run", &[]).expect("runs").result;
+        assert_eq!(got.map(|r| r & 0xFFFF_FFFF), expected, "{:?}", cfg.strategy);
     }
-    cfg
-}
-
-fn relocate_regions_above_heap(cfg: &mut segue_colorguard::core::CompilerConfig) {
-    let m = cfg.layout.mem_size as u32;
-    cfg.regions.header_base = 0x14_0000 + m;
-    cfg.regions.globals_base = 0x14_1000 + m;
-    cfg.regions.table_base = 0x15_0000 + m;
-    cfg.regions.stack_limit = 0x16_0000 + m;
-    cfg.regions.stack_top = 0x1C_0000 + m;
 }

@@ -77,14 +77,15 @@ fn guard_strategies_pay_their_own_buckets() {
     let mut found = false;
     for w in sfi_workloads::polybench() {
         let module = w.module();
-        let gr = compile(&module, &CompilerConfig::for_strategy(Strategy::GuardRegion))
+        let pages = module.mem_min_pages;
+        let gr = compile(&module, &CompilerConfig::for_module(Strategy::GuardRegion, pages))
             .expect("compile");
         let gr_out = execute_export(&gr, "run", &[]).expect("run");
         let gr_addr = gr_out.stats.prov_cycles[Provenance::SegueAddressing.index()];
         if gr_addr == 0.0 {
             continue;
         }
-        let sg = compile(&module, &CompilerConfig::for_strategy(Strategy::Segue))
+        let sg = compile(&module, &CompilerConfig::for_module(Strategy::Segue, pages))
             .expect("compile");
         let sg_out = execute_export(&sg, "run", &[]).expect("run");
         let sg_addr = sg_out.stats.prov_cycles[Provenance::SegueAddressing.index()];

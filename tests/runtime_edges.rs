@@ -100,15 +100,15 @@ fn mixed_modules_share_one_node() {
 
 #[test]
 fn oversized_module_is_rejected_at_instantiation() {
-    // 8 pages > the 1-page slots of the small test pool.
+    // 8 pages > the 1-page slots of the small test pool. The compiler's
+    // layout holds the module; the pool's slots do not.
     let m = segue_colorguard::wasm::wat::parse(
         r#"(module (memory 8)
              (func (export "one") (result i32) i32.const 1))"#,
     )
     .expect("parses");
-    let cm = Arc::new(
-        compile(&m, &CompilerConfig::for_strategy(Strategy::Segue)).expect("compiles"),
-    );
+    let cfg = CompilerConfig::for_module(Strategy::Segue, m.mem_min_pages);
+    let cm = Arc::new(compile(&m, &cfg).expect("compiles"));
     let mut rt = Runtime::new(RuntimeConfig::small_test(true)).expect("boots");
     assert!(matches!(
         rt.instantiate(cm),
