@@ -19,6 +19,10 @@ pub struct Cache {
     clock: u64,
     accesses: u64,
     misses: u64,
+    /// The line accessed last (`u64::MAX` after a flush). It is resident with
+    /// the newest stamp in its set, so a repeat access hits without a tag
+    /// scan and leaves the LRU order as it was.
+    mru: u64,
 }
 
 impl Cache {
@@ -43,6 +47,7 @@ impl Cache {
             clock: 0,
             accesses: 0,
             misses: 0,
+            mru: u64::MAX,
         }
     }
 
@@ -62,6 +67,10 @@ impl Cache {
         self.accesses += 1;
         self.clock += 1;
         let line = addr >> self.line_shift;
+        if line == self.mru {
+            return true;
+        }
+        self.mru = line;
         let set = (line as usize) & (self.sets - 1);
         let base = set * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
@@ -89,20 +98,18 @@ impl Cache {
     }
 
     /// Accesses every line touched by `[addr, addr+len)`; returns the number
-    /// of misses (0, 1 or 2 for ordinary accesses).
+    /// of misses (0, 1 or 2 for ordinary accesses). A range running past the
+    /// top of the address space stops at its last line.
     pub fn access_range(&mut self, addr: u64, len: u64) -> u32 {
         if len == 0 {
             return 0;
         }
         let first = addr >> self.line_shift;
-        let last = (addr + len - 1) >> self.line_shift;
-        let mut misses = 0;
-        for line in first..=last {
-            if !self.access(line << self.line_shift) {
-                misses += 1;
-            }
+        let last = addr.saturating_add(len - 1) >> self.line_shift;
+        if first == last {
+            return u32::from(!self.access(addr));
         }
-        misses
+        (first..=last).map(|line| u32::from(!self.access(line << self.line_shift))).sum()
     }
 
     /// Total accesses so far.
@@ -126,8 +133,7 @@ impl Cache {
 
     /// Invalidates all lines and zeroes counters.
     pub fn reset(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
+        self.flush();
         self.clock = 0;
         self.accesses = 0;
         self.misses = 0;
@@ -138,6 +144,7 @@ impl Cache {
     pub fn flush(&mut self) {
         self.tags.fill(u64::MAX);
         self.stamps.fill(0);
+        self.mru = u64::MAX;
     }
 
     /// Line size in bytes.
@@ -192,6 +199,75 @@ mod tests {
         assert_eq!(c.misses(), 1);
         assert!(!c.access(0), "flushed line must miss again");
         assert_eq!(c.misses(), 2);
+    }
+
+    #[test]
+    fn range_past_the_top_of_memory_stops_at_the_last_line() {
+        let mut c = Cache::new(1024, 2, 64);
+        assert_eq!(c.access_range(u64::MAX - 3, 8), 1);
+        assert_eq!(c.access_range(u64::MAX - 67, 128), 1, "first line missed, last line hit");
+        assert_eq!(c.accesses(), 3);
+    }
+
+    /// The reference model: true LRU with a full tag scan on every access.
+    struct ScanLru {
+        sets: Vec<Vec<(u64, u64)>>,
+        ways: usize,
+        clock: u64,
+    }
+
+    impl ScanLru {
+        fn access(&mut self, line: u64) -> bool {
+            self.clock += 1;
+            let n = self.sets.len() as u64;
+            let set = &mut self.sets[(line % n) as usize];
+            if let Some(slot) = set.iter_mut().find(|(tag, _)| *tag == line) {
+                slot.1 = self.clock;
+                return true;
+            }
+            if set.len() == self.ways {
+                let lru = (0..set.len()).min_by_key(|&w| set[w].1).unwrap();
+                set.remove(lru);
+            }
+            set.push((line, self.clock));
+            false
+        }
+    }
+
+    #[test]
+    fn mru_line_matches_a_scanning_true_lru_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // 8 sets x 4 ways, or 2 sets x 2 ways (conflicts in a few steps).
+            let (size, ways) = if seed % 2 == 0 { (2048, 4) } else { (256, 2) };
+            let mut c = Cache::new(size, ways, 64);
+            let sets = size / (ways * 64);
+            let mut r = ScanLru { sets: vec![Vec::new(); sets], ways, clock: 0 };
+            let (mut accesses, mut misses) = (0, 0);
+            let (mut addr, mut recent, span) = (0u64, [0u64; 8], 2 * size as u64);
+            for i in 0..4000 {
+                if rng.gen_range(0..500) == 0 {
+                    c.flush();
+                    r.sets.iter_mut().for_each(Vec::clear);
+                }
+                // Steps within or just past the last line (MRU repeats),
+                // returns to a recent address (hits found by the scan) and
+                // jumps across a span twice the cache size (evictions).
+                addr = match rng.gen_range(0..4) {
+                    0 => rng.gen_range(0..span),
+                    1 => recent[rng.gen_range(0..8)],
+                    _ => (addr + rng.gen_range(0..48)) % span,
+                };
+                recent[i % 8] = addr;
+                let hit = r.access(addr >> 6);
+                accesses += 1;
+                misses += u64::from(!hit);
+                assert_eq!(c.access(addr), hit, "seed {seed}, access {i} at {addr:#x}");
+            }
+            assert_eq!((c.accesses(), c.misses()), (accesses, misses), "seed {seed}");
+        }
     }
 
     #[test]

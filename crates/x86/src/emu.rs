@@ -30,6 +30,17 @@
 //!   loads through the store buffer in a window;
 //! - any transient access through a tainted address, `%rsp` included, leaks.
 //!
+//! ## Predecode
+//!
+//! [`Image::load`] builds a [`Decoded`] entry per instruction: its
+//! throughput and serial charges, fetch address, length, provenance and
+//! transient µop count. The charges depend on the cost model, so the table
+//! records the model it was built against ([`CostModel::default`]); a run
+//! on a [`Machine`] whose `cost` differs rebuilds it, with the same
+//! function, for that run. The loop thus adds the same f64 values in the
+//! same order as charging the model per instruction. A fetch that stays in
+//! the last fetched line hits without a tag scan (see [`crate::cache`]).
+//!
 //! ## Code-address model
 //!
 //! Code addresses during *execution* are instruction indices (a `Ret` with an
@@ -131,11 +142,6 @@ impl SpecConfig {
         self.window
     }
 
-    /// The tainted secret region as `(lo, hi)`.
-    pub fn secret_range(&self) -> (u64, u64) {
-        (self.secret_lo, self.secret_hi)
-    }
-
     #[inline]
     fn in_secret(&self, addr: u64) -> bool {
         addr >= self.secret_lo && addr < self.secret_hi
@@ -227,12 +233,23 @@ impl FlatMemory {
     }
 }
 
+/// The `N` bytes at the start of `b`.
+#[inline(always)]
+fn bytes_at<const N: usize>(b: &[u8]) -> [u8; N] {
+    let mut a = [0; N];
+    a.copy_from_slice(&b[..N]);
+    a
+}
+
 impl MemBus for FlatMemory {
     fn load(&mut self, addr: u64, width: Width, _ctx: AccessCtx) -> Result<u64, MemFault> {
-        let i = self.check(addr, width.bytes())?;
-        let mut buf = [0u8; 8];
-        buf[..width.bytes() as usize].copy_from_slice(&self.bytes[i..i + width.bytes() as usize]);
-        Ok(u64::from_le_bytes(buf))
+        let b = &self.bytes[self.check(addr, width.bytes())?..];
+        Ok(match width {
+            Width::B => u64::from(b[0]),
+            Width::W => u64::from(u16::from_le_bytes(bytes_at(b))),
+            Width::D => u64::from(u32::from_le_bytes(bytes_at(b))),
+            Width::Q => u64::from_le_bytes(bytes_at(b)),
+        })
     }
 
     fn store(
@@ -243,8 +260,13 @@ impl MemBus for FlatMemory {
         _ctx: AccessCtx,
     ) -> Result<(), MemFault> {
         let i = self.check(addr, width.bytes())?;
-        self.bytes[i..i + width.bytes() as usize]
-            .copy_from_slice(&val.to_le_bytes()[..width.bytes() as usize]);
+        let b = &mut self.bytes[i..];
+        match width {
+            Width::B => b[0] = val as u8,
+            Width::W => b[..2].copy_from_slice(&(val as u16).to_le_bytes()),
+            Width::D => b[..4].copy_from_slice(&(val as u32).to_le_bytes()),
+            Width::Q => b[..8].copy_from_slice(&val.to_le_bytes()),
+        }
         Ok(())
     }
 }
@@ -375,18 +397,58 @@ impl RegFile {
     }
 }
 
-/// A program paired with its encoded byte layout.
+/// A program paired with its encoded byte layout and its predecoded table.
 #[derive(Debug, Clone)]
 pub struct Image {
     program: Program,
     encoded: Encoded,
+    /// The cost model `decoded` was built against.
+    cost: CostModel,
+    decoded: Vec<Decoded>,
+}
+
+/// The static facts the emulator charges for one instruction under one
+/// cost model (see "Predecode" in the module doc).
+#[derive(Debug, Clone, Copy)]
+pub struct Decoded {
+    /// [`CostModel::throughput_cycles`] at the encoded length.
+    pub throughput: f64,
+    /// [`CostModel::serial_cycles`].
+    pub serial: f64,
+    /// Byte offset in the encoding: the I-cache fetch address.
+    pub fetch: u32,
+    /// Encoded length in bytes (x86 caps it at 15).
+    pub len: u8,
+    /// [`crate::Provenance::index`] of the instruction's class.
+    pub prov: u8,
+    /// µops it costs a transient window: [`CostModel::uops`], rounded up.
+    pub spec_uops: u8,
+}
+
+/// The [`Decoded`] table of `program`, laid out as `encoded`, under `cost`.
+fn predecode(program: &Program, encoded: &Encoded, cost: &CostModel) -> Vec<Decoded> {
+    let decode = |(pc, inst)| {
+        let len = encoded.inst_len(pc);
+        Decoded {
+            throughput: cost.throughput_cycles(inst, len),
+            serial: cost.serial_cycles(inst),
+            fetch: encoded.offsets[pc],
+            len: len as u8,
+            prov: program.prov_at(pc).index() as u8,
+            spec_uops: cost.uops(inst).ceil().max(1.0) as u8,
+        }
+    };
+    program.insts().iter().enumerate().map(decode).collect()
 }
 
 impl Image {
-    /// Encodes `program` (with branch relaxation) and pairs it for execution.
+    /// Encodes `program` (with branch relaxation), pairs it for execution
+    /// and predecodes it against [`CostModel::default`].
     pub fn load(program: Program) -> Result<Image, EncodeError> {
         let encoded = encode_program(&program)?;
-        Ok(Image { program, encoded })
+        let cost = CostModel::default();
+        let decoded = predecode(&program, &encoded, &cost);
+        Ok(Image { program, encoded, cost, decoded })
     }
 
     /// The program.
@@ -402,6 +464,11 @@ impl Image {
     /// Total code size in bytes.
     pub fn code_size(&self) -> usize {
         self.encoded.len()
+    }
+
+    /// The predecoded table under [`CostModel::default`], one entry per instruction.
+    pub fn decoded(&self) -> &[Decoded] {
+        &self.decoded
     }
 }
 
@@ -449,11 +516,6 @@ impl Machine {
         }
     }
 
-    /// A machine with a custom cost model.
-    pub fn with_cost(cost: CostModel) -> Machine {
-        Machine { cost, ..Machine::new() }
-    }
-
     /// Sets the instruction budget for subsequent runs.
     pub fn set_fuel(&mut self, fuel: u64) {
         self.fuel = fuel;
@@ -476,16 +538,6 @@ impl Machine {
     /// invariant `attributed_cycles() == cycles` is untouched).
     pub fn enable_speculation(&mut self, cfg: SpecConfig) {
         self.spec = Some(cfg);
-    }
-
-    /// Removes the speculation config (back to the architectural-only model).
-    pub fn disable_speculation(&mut self) {
-        self.spec = None;
-    }
-
-    /// The installed speculation config, if any.
-    pub fn speculation(&self) -> Option<SpecConfig> {
-        self.spec
     }
 
     /// Reads a general-purpose register.
@@ -534,16 +586,6 @@ impl Machine {
         })
     }
 
-    /// Runs a pre-encoded image with a host-call handler.
-    pub fn run_image_with_host<M: MemBus>(
-        &mut self,
-        image: &Image,
-        bus: &mut M,
-        host: &mut HostHandler<'_, M>,
-    ) -> Result<RunStats, Trap> {
-        self.run_image_from(image, 0, bus, host)
-    }
-
     /// Runs a pre-encoded image starting at instruction index `entry`.
     pub fn run_image_from<M: MemBus>(
         &mut self,
@@ -552,7 +594,14 @@ impl Machine {
         bus: &mut M,
         host: &mut HostHandler<'_, M>,
     ) -> Result<RunStats, Trap> {
-        let (prog, enc) = (&image.program, &image.encoded);
+        let prog = &image.program;
+        let rebuilt;
+        let table = if image.cost == self.cost {
+            &image.decoded
+        } else {
+            rebuilt = predecode(prog, &image.encoded, &self.cost);
+            &rebuilt
+        };
         let mut fuel = self.fuel;
         // The owned state lives outside the context, which thus needs no
         // drop glue and can stay in registers.
@@ -563,28 +612,28 @@ impl Machine {
             bus,
             host,
             image,
+            table,
             stats: RunStats::default(),
             cycles: 0.0,
             pred: &mut pred,
             stack: &mut stack,
         };
         let mut pc = entry;
-        while pc < prog.insts().len() {
+        while pc < table.len() {
             if fuel == 0 {
                 return Err(Trap::FuelExhausted);
             }
             fuel -= 1;
 
-            let inst = &prog.insts()[pc];
-            let ilen = enc.inst_len(pc);
+            let d = &table[pc];
             c.stats.insts += 1;
-            c.stats.code_bytes_fetched += ilen as u64;
+            c.stats.code_bytes_fetched += u64::from(d.len);
             // Miss counters before this instruction: the deltas after the
             // step below reconstruct exactly the penalty cycles it was
             // charged (each miss adds one fixed `*_miss_cycles` constant).
             let miss0 = (c.stats.icache_misses, c.stats.dcache_misses, c.stats.branch_misses);
-            c.cycles = c.m.cost.throughput_cycles(inst, ilen);
-            if !c.m.icache.access(u64::from(enc.offsets[pc])) {
+            c.cycles = d.throughput;
+            if !c.m.icache.access(u64::from(d.fetch)) {
                 c.stats.icache_misses += 1;
                 c.cycles += c.m.cost.icache_miss_cycles;
             }
@@ -592,7 +641,7 @@ impl Machine {
             // the attribution tail below before the loop exits.
             let next = step(&mut c, prog, pc)?;
             let (cost, stats) = (&c.m.cost, &mut c.stats);
-            c.cycles += cost.serial_cycles(inst);
+            c.cycles += d.serial;
             // Attribution: split this instruction's charge into its
             // microarchitectural penalties (reconstructed from the miss
             // deltas) and the remainder, which lands in the bucket of the
@@ -603,7 +652,7 @@ impl Machine {
             stats.icache_penalty_cycles += pen_i;
             stats.dcache_penalty_cycles += pen_d;
             stats.branch_penalty_cycles += pen_b;
-            stats.prov_cycles[prog.prov_at(pc).index()] += c.cycles - (pen_i + pen_d + pen_b);
+            stats.prov_cycles[usize::from(d.prov)] += c.cycles - (pen_i + pen_d + pen_b);
             match next {
                 Some(n) => pc = n,
                 None => break,
@@ -938,6 +987,7 @@ struct Committed<'a, M: MemBus> {
     bus: &'a mut M,
     host: &'a mut HostHandler<'a, M>,
     image: &'a Image,
+    table: &'a [Decoded],
     stats: RunStats,
     cycles: f64,
     pred: &'a mut Predictors,
@@ -1014,7 +1064,7 @@ impl<M: MemBus> Exec for Committed<'_, M> {
             // direction until the mispredict resolved.
             let wrong = if predicted_taken { self.image.program.resolve(target) } else { Some(pc + 1) };
             if let Some(start) = wrong {
-                open_window(self.m, self.bus, &mut self.stats, self.pred, self.image, start);
+                open_window(self.m, self.bus, &mut self.stats, self.pred, self.image, self.table, start);
             }
         }
         taken
@@ -1034,7 +1084,7 @@ impl<M: MemBus> Exec for Committed<'_, M> {
             // target with the *current* register state — the transient
             // type-confusion channel.
             if let Some(old) = prev {
-                open_window(self.m, self.bus, &mut self.stats, self.pred, self.image, old);
+                open_window(self.m, self.bus, &mut self.stats, self.pred, self.image, self.table, old);
             }
         }
         Ok(t)
@@ -1066,10 +1116,11 @@ fn open_window<M: MemBus>(
     stats: &mut RunStats,
     pred: &Predictors,
     image: &Image,
+    table: &[Decoded],
     start: usize,
 ) {
     if let Some(spec) = m.spec {
-        Transient::new(m, bus, stats, pred, image, spec).run(start);
+        Transient::new(m, bus, stats, pred, image, table, spec).run(start);
     }
 }
 
@@ -1090,13 +1141,14 @@ impl From<Trap> for WindowEnd {
 /// untouched). Two effects persist past the rollback: the cache footprint,
 /// which **is** the side channel, and the leak counter.
 struct Transient<'a, M: MemBus> {
-    /// Caches and cost model only: the committed `m.regs` stay untouched.
+    /// Caches only: the committed `m.regs` stay untouched.
     m: &'a mut Machine,
     bus: &'a mut M,
     stats: &'a mut RunStats,
     /// Followed read-only: the wrong path must not train it.
     pred: &'a Predictors,
     image: &'a Image,
+    table: &'a [Decoded],
     spec: SpecConfig,
     regs: RegFile,
     /// Taint bits per GPR, per XMM register and of the flags: a load from
@@ -1118,11 +1170,12 @@ impl<'a, M: MemBus> Transient<'a, M> {
         stats: &'a mut RunStats,
         pred: &'a Predictors,
         image: &'a Image,
+        table: &'a [Decoded],
         spec: SpecConfig,
     ) -> Self {
         let (regs, store_buf, stack) = (m.regs.clone(), HashMap::new(), Vec::new());
         let (taint, xtaint, flags_taint) = (0, 0, false);
-        Transient { m, bus, stats, pred, image, spec, regs, taint, xtaint, flags_taint, store_buf, stack }
+        Transient { m, bus, stats, pred, image, table, spec, regs, taint, xtaint, flags_taint, store_buf, stack }
     }
 
     /// Executes wrong-path µops from `start` until the budget runs out or
@@ -1130,15 +1183,15 @@ impl<'a, M: MemBus> Transient<'a, M> {
     #[inline(always)]
     fn run(&mut self, start: usize) {
         self.stats.spec_flushes += 1;
-        let image = self.image;
+        let (image, table) = (self.image, self.table);
         let mut pc = start;
         let mut budget = i64::from(self.spec.window);
-        while budget > 0 && pc < image.program.insts().len() {
-            let uops = self.m.cost.uops(&image.program.insts()[pc]).ceil().max(1.0) as i64;
-            budget -= uops;
-            self.stats.spec_uops += uops as u64;
+        while budget > 0 && pc < table.len() {
+            let d = &table[pc];
+            budget -= i64::from(d.spec_uops);
+            self.stats.spec_uops += u64::from(d.spec_uops);
             // Wrong-path fetch touches the I-cache; the footprint persists.
-            self.m.icache.access(u64::from(image.encoded.offsets[pc]));
+            self.m.icache.access(u64::from(d.fetch));
             match step(self, &image.program, pc) {
                 Ok(Some(next)) => pc = next,
                 Ok(None) | Err(WindowEnd) => break,
@@ -1511,7 +1564,7 @@ mod tests {
         let image = Image::load(p).unwrap();
         let mut seen = Vec::new();
         let stats = m
-            .run_image_with_host(&image, &mut mem, &mut |f, regs, _| {
+            .run_image_from(&image, 0, &mut mem, &mut |f, regs, _| {
                 seen.push(f);
                 regs.set_gpr(Gpr::Rax, 99);
                 Ok(0.0)
@@ -1768,6 +1821,68 @@ mod tests {
         assert_eq!(m.gpr(Gpr::Rdx), 1);
     }
 
+    #[test]
+    fn accesses_past_the_top_of_memory_trap() {
+        // `mov rbx, -4; <access> [rbx]`: the cache range must not overflow
+        // before the bus rejects the address.
+        let at_top = Mem::base(Gpr::Rbx);
+        for access in [
+            Inst::Load { dst: Gpr::Rax, mem: at_top, width: Width::Q },
+            Inst::Store { src: Gpr::Rax, mem: at_top, width: Width::D },
+            Inst::MovdquLoad { dst: Xmm(0), mem: at_top },
+            Inst::MovdquStore { src: Xmm(0), mem: at_top },
+        ] {
+            let mut p = Program::new();
+            p.push(Inst::MovRI { dst: Gpr::Rbx, imm: -4, width: Width::Q });
+            p.push(access);
+            p.push(Inst::Ret);
+            let r = Machine::new().run_image(&Image::load(p).unwrap(), &mut FlatMemory::new(64));
+            assert!(matches!(r, Err(Trap::Mem(_))), "{access:?}: {r:?}");
+        }
+    }
+
+    #[test]
+    fn transient_accesses_past_the_top_of_memory_end_cleanly() {
+        // The `je` is taken but starts predicted not-taken, so a window runs
+        // the skipped accesses at -4 until the `ret` on an empty stack.
+        let mut p = Program::new();
+        let skip = p.fresh_label();
+        p.push(Inst::MovRI { dst: Gpr::Rbx, imm: -4, width: Width::Q });
+        p.push(Inst::AluRR { op: AluOp::Cmp, dst: Gpr::Rbx, src: Gpr::Rbx, width: Width::Q });
+        p.push(Inst::Jcc { cond: Cond::E, target: skip });
+        p.push(Inst::Load { dst: Gpr::Rax, mem: Mem::base(Gpr::Rbx), width: Width::Q });
+        p.push(Inst::Store { src: Gpr::Rax, mem: Mem::base(Gpr::Rbx), width: Width::Q });
+        p.push(Inst::MovdquLoad { dst: Xmm(0), mem: Mem::base(Gpr::Rbx) });
+        p.push(Inst::MovdquStore { src: Xmm(0), mem: Mem::base(Gpr::Rbx) });
+        p.bind(skip);
+        p.push(Inst::Ret);
+        let mut m = Machine::new();
+        m.enable_speculation(spec_cfg());
+        let stats = m.run_image(&Image::load(p).unwrap(), &mut FlatMemory::new(64)).unwrap();
+        assert_eq!((stats.spec_flushes, stats.spec_uops, stats.spec_leaks), (1, 6, 0));
+    }
+
+    #[test]
+    fn a_tuned_cost_model_is_charged() {
+        let image = Image::load(spectre_gadget(true)).unwrap();
+        let mut tuned = CostModel::default();
+        tuned.issue_width *= 2.0;
+        tuned.lfence_cycles += 1.0;
+        let run = |image: &Image, cost: &CostModel| {
+            let mut m = Machine::new();
+            m.cost = cost.clone();
+            m.enable_speculation(spec_cfg());
+            m.run_image(image, &mut FlatMemory::new(0x20000)).unwrap()
+        };
+        // The same image with its table built against the tuned model.
+        let decoded = predecode(&image.program, &image.encoded, &tuned);
+        let direct = Image { cost: tuned.clone(), decoded, ..image.clone() };
+        let stats = run(&image, &tuned);
+        assert_eq!(stats, run(&direct, &tuned));
+        assert_ne!(stats.cycles, run(&image, &CostModel::default()).cycles);
+        assert_eq!(stats.attributed_cycles(), stats.cycles);
+    }
+
     /// Memory for the twin test: every operand `twin_mem` builds lands in
     /// `[0x100, 0x200)`.
     const TWIN_MEM: usize = 0x400;
@@ -1878,7 +1993,7 @@ mod tests {
             let mut replay = mem.bytes().to_vec();
             let mut stats = RunStats::default();
             let pred = Predictors { counters: Vec::new(), btb: HashMap::new() };
-            let mut t = Transient::new(&mut start, &mut mem, &mut stats, &pred, &image, spec);
+            let mut t = Transient::new(&mut start, &mut mem, &mut stats, &pred, &image, image.decoded(), spec);
             t.run(0);
             for r in Gpr::ALL {
                 assert_eq!(t.regs.gpr(r), committed.gpr(r), "seed {seed}: {r:?}");

@@ -15,6 +15,22 @@ HB_LAST=$(cargo run --release --offline --quiet --manifest-path hostbench/Cargo.
   --workload all --seed 1 --seconds 1 | tail -1)
 echo "$HB_LAST" | grep -q '"correct": true' || { echo "hostbench smoke failed: ${HB_LAST:0:300}"; exit 1; }
 
+echo "== modeled-count drift watch (traced kernel_batch, seed 5) =="
+# The traced pass runs fixed work, so its modeled counts are exact. They are
+# the values recorded before the emulator's predecoded fast path: a host-speed
+# change to the emulator that moves the model fails here, not only in a
+# figure binary. A deliberate model change must update them in the same commit.
+HB_TRACE=$(cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
+  --workload kernel_batch --seed 5 --seconds 1 --trace 1 | tail -1)
+for want in '"x86.insts": {"value": 511942673,' '"x86.spec_uops": {"value": 5870184,' \
+            '"x86.spec_flushes": {"value": 615742,' '"x86.spec_leaks": {"value": 0,' \
+            '"x86.icache_misses": {"value": 486,' '"x86.dcache_misses": {"value": 760265,' \
+            '"x86.modeled_cycles": {"value": 515553393.13259804,'; do
+  echo "$HB_TRACE" | grep -qF "$want" || { echo "modeled-count drift: expected $want"; exit 1; }
+done
+echo "$HB_TRACE" | grep -q '"correct": true' || { echo "traced kernel_batch failed"; exit 1; }
+echo "modeled counts match the record"
+
 echo "== tests (workspace) =="
 cargo test -q --offline --workspace
 

@@ -4,6 +4,7 @@
 
 use sfi_core::harness::execute_export;
 use sfi_core::{compile, CompilerConfig, Strategy};
+use sfi_x86::cost::CostModel;
 use sfi_x86::{Inst, Provenance};
 
 const STRATEGIES: [Strategy; 7] = [
@@ -160,4 +161,43 @@ fn opt_tier_nop_slots_are_retagged() {
         }
     }
     assert!(nops > 0, "optimizing tier left no nop slots on this workload");
+}
+
+/// The emulator's predecoded table holds, bit for bit, what the cost model
+/// and the encoding compute for each instruction, on every corpus kernel
+/// under every strategy at both tiers.
+#[test]
+fn predecoded_table_matches_the_cost_model() {
+    let cost = CostModel::default();
+    for w in sfi_workloads::all() {
+        let module = w.module();
+        for strategy in STRATEGIES {
+            let base = CompilerConfig::for_module(strategy, module.mem_min_pages);
+            for config in [base.clone(), base.optimized()] {
+                let cm = compile(&module, &config).expect("compile");
+                let (prog, enc, table) = (cm.image.program(), cm.image.encoded(), cm.image.decoded());
+                assert_eq!(table.len(), prog.len(), "{}: one entry per instruction", w.name);
+                for (pc, (inst, d)) in prog.insts().iter().zip(table).enumerate() {
+                    let len = enc.inst_len(pc);
+                    let want = (
+                        cost.throughput_cycles(inst, len).to_bits(),
+                        cost.serial_cycles(inst).to_bits(),
+                        enc.offsets[pc],
+                        len,
+                        prog.prov_at(pc).index(),
+                        cost.uops(inst).ceil().max(1.0) as u8,
+                    );
+                    let got = (
+                        d.throughput.to_bits(),
+                        d.serial.to_bits(),
+                        d.fetch,
+                        usize::from(d.len),
+                        usize::from(d.prov),
+                        d.spec_uops,
+                    );
+                    assert_eq!(got, want, "{} {strategy} {}: {pc} {inst:?}", w.name, config.opt_level.name());
+                }
+            }
+        }
+    }
 }
