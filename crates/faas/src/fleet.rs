@@ -91,8 +91,8 @@ pub struct FleetConfig {
     /// Aggregator poll schedule: bounded attempts with exponential
     /// backoff, charged to the virtual clock.
     pub retry: RetryPolicy,
-    /// Capacity of the fleet's supervision trace ring (fault events are
-    /// pinned past it: [`Retention::PinFaults`]).
+    /// Capacity of the fleet's supervision trace ring, and of the separate
+    /// ring its fault events keep ([`Retention::PinFaults`]).
     pub stream_capacity: usize,
     /// Elastic sizing on sustained occupancy crossings; `None` (the
     /// default) keeps the fleet static, byte-identical to the pre-elastic
@@ -433,7 +433,7 @@ pub struct FleetSupervisor {
     /// advance this clock, so the supervision trace is byte-reproducible.
     clock: VirtualClock,
     /// The supervision trace: member lifecycle + poll outcomes, fault
-    /// events pinned.
+    /// events in their own ring.
     stream: FlightRecorder,
     /// Supervision bookkeeping (merged into `/metrics` only).
     reg: Registry,

@@ -8,14 +8,16 @@
 //! The three FaaS workloads are implemented for real, from scratch (the
 //! offline crate policy excludes `regex` et al.):
 //!
-//! - [`regex::Regex`] — a linear-time Thompson-NFA engine for URL filtering;
+//! - [`regex::Regex`] — a linear-time Thompson-NFA engine for URL filtering,
+//!   matched through a lazy DFA that caches each NFA step with its work;
 //! - [`template`] — an HTML templating engine with escaping, loops and
 //!   conditionals;
 //! - [`hashlb`] — FNV-1a + a consistent-hash ring for load balancing.
 //!
 //! Per-request compute in the simulation is derived from *actual* runs of
 //! these engines, so workload differences in Figures 6/7 come from real
-//! work, not made-up constants.
+//! work, not made-up constants. The engines run once per distinct input and
+//! their work is reused, so a stream of 400K requests costs lookups.
 //!
 //! ```
 //! use sfi_faas::{simulate, FaasWorkload, ScalingMode, SimConfig};

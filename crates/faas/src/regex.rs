@@ -7,12 +7,60 @@
 //! filters use: literals, `.`, `*`, `+`, `?`, character classes
 //! (`[a-z0-9-]`, negated `[^/]`), alternation `|`, grouping `(...)` and
 //! anchors `^`/`$`.
+//!
+//! Matching runs a lazy DFA whose states are NFA state sets. A missing
+//! transition is filled by one breadth-first NFA step, and the step's work
+//! units are cached with it, so a cached match reports exactly the work the
+//! NFA simulation would have.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// A compiled regular expression.
 #[derive(Debug, Clone)]
 pub struct Regex {
     prog: Vec<Inst>,
     anchored_start: bool,
+    dfa: RefCell<Dfa>,
+}
+
+/// State sets the lazy DFA holds before a match starts it afresh. A fixed
+/// bound: one match can add at most one set per input byte past it.
+const MAX_DFA_SETS: usize = 1024;
+
+/// Transition slots per DFA state: one per (input byte, at-end flag).
+const DFA_SLOTS: usize = 512;
+
+/// The lazy DFA: interned NFA state sets and the transitions found so far.
+#[derive(Debug, Clone, Default)]
+struct Dfa {
+    /// State sets by id (`set[pc]` = NFA state `pc` is live).
+    sets: Vec<Box<[bool]>>,
+    ids: HashMap<Box<[bool]>, u32>,
+    /// `DFA_SLOTS` slots per set, indexed `byte * 2 + at_end`: the next set
+    /// and the NFA work units of the step.
+    trans: Vec<Option<(u32, u32)>>,
+    /// Start set and its closure work, indexed by whether the input is
+    /// empty (the closure passes `$` only at the end).
+    start: [Option<(u32, u32)>; 2],
+}
+
+impl Dfa {
+    fn intern(&mut self, set: Box<[bool]>) -> u32 {
+        if let Some(&id) = self.ids.get(&set) {
+            return id;
+        }
+        let id = u32::try_from(self.sets.len()).expect("DFA sets are bounded");
+        self.sets.push(set.clone());
+        self.ids.insert(set, id);
+        self.trans.resize(self.trans.len() + DFA_SLOTS, None);
+        id
+    }
+
+    fn accepts(&self, id: u32) -> bool {
+        // The program's last instruction is its single `Match`.
+        *self.sets[id as usize].last().expect("program ends in Match")
+    }
 }
 
 /// Compilation errors.
@@ -267,7 +315,7 @@ impl Regex {
         let mut prog = Vec::new();
         emit(&ast, &mut prog);
         prog.push(Inst::Match);
-        Ok(Regex { prog, anchored_start })
+        Ok(Regex { prog, anchored_start, dfa: RefCell::default() })
     }
 
     /// Whether the pattern matches anywhere in `input` (or from the start
@@ -276,39 +324,75 @@ impl Regex {
     ///
     /// Unanchored search is single-pass: the start state is re-injected at
     /// every position (an implicit leading `.*`), so matching is linear in
-    /// `input.len() × pattern states` with no restarts.
+    /// `input.len() × pattern states` with no restarts. Each step is a DFA
+    /// transition lookup; the first time a transition is taken it runs the
+    /// NFA step (`nfa_step`) and caches its result and work.
     pub fn is_match_counted(&self, input: &str) -> (bool, u64) {
         let bytes = input.as_bytes();
-        let n = self.prog.len();
-        let mut cur = vec![false; n];
-        let mut next = vec![false; n];
-        let mut stack = Vec::new();
-        let mut work = 0u64;
-        add_state(&self.prog, &mut cur, &mut stack, 0, bytes.is_empty(), &mut work);
+        let mut dfa = self.dfa.borrow_mut();
+        if dfa.sets.len() >= MAX_DFA_SETS {
+            *dfa = Dfa::default();
+        }
+        let (mut cur, start_work) = self.start_state(&mut dfa, bytes.is_empty());
+        let mut work = u64::from(start_work);
         for (i, &b) in bytes.iter().enumerate() {
-            if cur[n - 1] {
+            if dfa.accepts(cur) {
                 return (true, work);
             }
-            next.iter_mut().for_each(|s| *s = false);
             let at_end_after = i + 1 == bytes.len();
-            for (pc, live) in cur.iter().enumerate() {
-                if !live {
-                    continue;
+            let slot = cur as usize * DFA_SLOTS + usize::from(b) * 2 + usize::from(at_end_after);
+            let (next, w) = match dfa.trans[slot] {
+                Some(t) => t,
+                None => {
+                    let mut next = vec![false; self.prog.len()].into_boxed_slice();
+                    let w = self.nfa_step(&dfa.sets[cur as usize], b, at_end_after, &mut next);
+                    let t = (dfa.intern(next), u32::try_from(w).expect("one step's work fits"));
+                    dfa.trans[slot] = Some(t);
+                    t
                 }
-                work += 1;
-                if let Inst::Byte(c) = &self.prog[pc] {
-                    if c.matches(b) {
-                        add_state(&self.prog, &mut next, &mut stack, pc + 1, at_end_after, &mut work);
-                    }
-                }
-            }
-            if !self.anchored_start {
-                // Implicit `.*` prefix: a match may start at the next byte.
-                add_state(&self.prog, &mut next, &mut stack, 0, at_end_after, &mut work);
-            }
-            std::mem::swap(&mut cur, &mut next);
+            };
+            work += u64::from(w);
+            cur = next;
         }
-        (cur[n - 1], work)
+        (dfa.accepts(cur), work)
+    }
+
+    /// The ε-closure of the start state, and its work.
+    fn start_state(&self, dfa: &mut Dfa, empty_input: bool) -> (u32, u32) {
+        if let Some(s) = dfa.start[usize::from(empty_input)] {
+            return s;
+        }
+        let mut set = vec![false; self.prog.len()].into_boxed_slice();
+        let mut work = 0;
+        add_state(&self.prog, &mut set, &mut Vec::new(), 0, empty_input, &mut work);
+        let s = (dfa.intern(set), u32::try_from(work).expect("closure work fits"));
+        dfa.start[usize::from(empty_input)] = Some(s);
+        s
+    }
+
+    /// One breadth-first NFA step: advances every live state in `cur` over
+    /// byte `b` into the (all-dead) `next`, re-injecting the start state
+    /// when unanchored. Returns the work units: one per live state scanned
+    /// plus the ε-closure insertions.
+    fn nfa_step(&self, cur: &[bool], b: u8, at_end_after: bool, next: &mut [bool]) -> u64 {
+        let mut stack = Vec::new();
+        let mut work = 0u64;
+        for (pc, live) in cur.iter().enumerate() {
+            if !live {
+                continue;
+            }
+            work += 1;
+            if let Inst::Byte(c) = &self.prog[pc] {
+                if c.matches(b) {
+                    add_state(&self.prog, next, &mut stack, pc + 1, at_end_after, &mut work);
+                }
+            }
+        }
+        if !self.anchored_start {
+            // Implicit `.*` prefix: a match may start at the next byte.
+            add_state(&self.prog, next, &mut stack, 0, at_end_after, &mut work);
+        }
+        work
     }
 
     /// Whether the pattern matches.
@@ -444,5 +528,137 @@ mod tests {
         let (_, small) = r.is_match_counted("xx");
         let (_, big) = r.is_match_counted(&"x".repeat(500));
         assert!(big > small);
+    }
+
+    /// The matcher before the lazy DFA: a fresh breadth-first NFA
+    /// simulation per call, the reference for the cached matcher.
+    fn nfa_reference(re: &Regex, input: &str) -> (bool, u64) {
+        let bytes = input.as_bytes();
+        let n = re.prog.len();
+        let mut cur = vec![false; n];
+        let mut next = vec![false; n];
+        let mut stack = Vec::new();
+        let mut work = 0u64;
+        add_state(&re.prog, &mut cur, &mut stack, 0, bytes.is_empty(), &mut work);
+        for (i, &b) in bytes.iter().enumerate() {
+            if cur[n - 1] {
+                return (true, work);
+            }
+            next.iter_mut().for_each(|s| *s = false);
+            let at_end_after = i + 1 == bytes.len();
+            for (pc, live) in cur.iter().enumerate() {
+                if !live {
+                    continue;
+                }
+                work += 1;
+                if let Inst::Byte(c) = &re.prog[pc] {
+                    if c.matches(b) {
+                        add_state(&re.prog, &mut next, &mut stack, pc + 1, at_end_after, &mut work);
+                    }
+                }
+            }
+            if !re.anchored_start {
+                add_state(&re.prog, &mut next, &mut stack, 0, at_end_after, &mut work);
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        (cur[n - 1], work)
+    }
+
+    /// The FaaS simulation's URL filters, then every pattern the tests
+    /// above use.
+    const PATTERNS: [&str; 27] = [
+        "^/api/v[0-9]+/users/[0-9]+$",
+        "\\.(css|js|png|jpg)$",
+        "^/(admin|internal)/",
+        "/[a-z]+/[a-z0-9-]+$",
+        "abc",
+        "a.c",
+        "^abc",
+        "abc$",
+        "^abc$",
+        "ab*c",
+        "ab+c",
+        "ab?c",
+        "[a-z]+",
+        "^[a-z]+$",
+        "[^/]+",
+        "^[^/]+$",
+        "[a-z0-9-]+",
+        "\\d+",
+        "\\w+",
+        "cat|dog",
+        "^(cat|dog)$",
+        "^a(b|c)*d$",
+        "(ab)+",
+        "a*a*a*a*a*a*b",
+        "[a-z]+@[a-z]+",
+        "^[a-z]+@[a-z]+$",
+        "x?$",
+    ];
+
+    /// Seeded inputs: the empty string, random strings over the URL
+    /// alphabet, and URL-shaped paths built from segments the filters
+    /// look for.
+    fn inputs() -> Vec<String> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789/.-_@";
+        const SEGMENTS: [&str; 12] = [
+            "api", "v2", "users", "12345", "admin", "internal", "assets", "app.js", "logo.png",
+            "my-url-9", "cat", "abcbcd",
+        ];
+        let mut rng = StdRng::seed_from_u64(0xD_FA);
+        let mut out = vec![String::new()];
+        for _ in 0..300 {
+            let len = rng.gen_range(0..40);
+            let chars = (0..len).map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())] as char);
+            out.push(chars.collect());
+        }
+        for _ in 0..300 {
+            let mut url = String::new();
+            for _ in 0..rng.gen_range(1..6) {
+                url.push('/');
+                url.push_str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]);
+            }
+            out.push(url);
+        }
+        out
+    }
+
+    #[test]
+    fn lazy_dfa_matches_the_nfa_cold_and_warm() {
+        let inputs = inputs();
+        for pat in PATTERNS {
+            let warm = Regex::new(pat).unwrap();
+            for input in &inputs {
+                let want = nfa_reference(&warm, input);
+                let cold = Regex::new(pat).unwrap().is_match_counted(input);
+                assert_eq!(cold, want, "cold cache: {pat:?} on {input:?}");
+                assert_eq!(warm.is_match_counted(input), want, "warm cache: {pat:?} on {input:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_dfa_stays_bounded_and_exact_across_resets() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // "the 11th byte from the end is an `a`": 2^11 DFA states, more
+        // than the cache holds, so matching must start it afresh.
+        let re = Regex::new("[ab]*a[ab][ab][ab][ab][ab][ab][ab][ab][ab][ab]$").unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut resets = 0;
+        let mut prev = 0;
+        for _ in 0..200 {
+            let input: String =
+                (0..60).map(|_| if rng.gen::<bool>() { 'a' } else { 'b' }).collect();
+            assert_eq!(re.is_match_counted(&input), nfa_reference(&re, &input));
+            let sets = re.dfa.borrow().sets.len();
+            assert!(sets <= MAX_DFA_SETS + input.len() + 1, "{sets} sets");
+            resets += usize::from(sets < prev);
+            prev = sets;
+        }
+        assert!(resets > 0, "the bound must have been reached");
     }
 }

@@ -115,8 +115,9 @@ pub struct ServeConfig {
     /// The single-core probe simulation behind `/healthz` (carries the
     /// [`FailureModel`]; its seed advances per round like the engine's).
     pub probe: SimConfig,
-    /// Capacity of the cumulative stream recorder scraped via `/trace`
-    /// (events beyond it age out and are reported as `dropped`).
+    /// Capacity of the cumulative stream recorder scraped via `/trace`, and
+    /// of its separate fault ring (events beyond either age out and are
+    /// reported as `dropped`).
     pub stream_capacity: usize,
 }
 
@@ -219,10 +220,11 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// A fresh engine; no rounds run yet. The stream recorder pins fault
-    /// events ([`Retention::PinFaults`]): a long-serving engine ages out
-    /// enter/exit chatter, never the traps and quarantine recycles a
-    /// post-mortem needs.
+    /// A fresh engine; no rounds run yet. The stream recorder keeps fault
+    /// events in a ring of their own ([`Retention::PinFaults`]): enter/exit
+    /// chatter never ages out the traps and quarantine recycles a
+    /// post-mortem needs, and the newest `stream_capacity` of those are
+    /// kept, so a long-serving engine's memory stays bounded.
     pub fn new(cfg: ServeConfig) -> ServeEngine {
         let stream = FlightRecorder::with_retention(cfg.stream_capacity, Retention::PinFaults);
         let mut meta = Registry::new();

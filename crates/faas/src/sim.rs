@@ -18,10 +18,16 @@
 //!
 //! Requests are pre-generated from the seed, so both strategies see *the
 //! same* arrivals, IO delays and per-request compute (derived from real
-//! executions of the regex/templating/hash engines in this crate).
+//! executions of the regex/templating/hash engines in this crate). The
+//! engines run once per distinct input, not once per request: a templated
+//! page's work is a per-row-count table filled when the thread's
+//! `WorkloadRt` is built, and each URL filter runs the NFA only for DFA
+//! transitions it has not taken before (the cached transition carries the
+//! NFA's exact work). Hash routing hashes every key.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,64 +62,42 @@ impl FaasWorkload {
         }
     }
 
-    /// Executes one request's worth of real work and returns work units
-    /// (converted to compute-ns by the calibration constants below).
-    fn service_work(self, rng: &mut StdRng, rt: &WorkloadRt) -> u64 {
+    /// Charges one request's worth of real work and returns work units
+    /// (converted to compute-ns by the calibration constants below). The
+    /// RNG draws are the request's inputs; `key` is a reused buffer.
+    fn service_work(self, rng: &mut StdRng, rt: &WorkloadRt, key: &mut String) -> u64 {
         match self {
             FaasWorkload::RegexFilter => {
-                // One request filters a batch of URLs (an access-log chunk).
-                let mut work = 0;
-                for _ in 0..1 {
-                    let depth = rng.gen_range(2..6);
-                    let mut url = String::from("/api");
-                    for _ in 0..depth {
-                        url.push('/');
-                        let seg_len = rng.gen_range(3..12);
-                        for _ in 0..seg_len {
-                            url.push((b'a' + rng.gen_range(0..26)) as char);
-                        }
-                    }
-                    for f in &rt.filters {
-                        let (_, w) = f.is_match_counted(&url);
-                        work += w;
+                // One request filters a URL (an access-log line).
+                let depth = rng.gen_range(2..6);
+                key.clear();
+                key.push_str("/api");
+                for _ in 0..depth {
+                    key.push('/');
+                    let seg_len = rng.gen_range(3..12);
+                    for _ in 0..seg_len {
+                        key.push((b'a' + rng.gen_range(0..26)) as char);
                     }
                 }
-                work
+                rt.filters.iter().map(|f| f.is_match_counted(key).1).sum()
             }
             FaasWorkload::HashLoadBalance => {
                 // One request routes a batch of keys across service tiers.
                 let mut work = 0;
                 for _ in 0..4 {
-                    let key = format!(
-                        "/tenant/{}/object/{}",
-                        rng.gen_range(0..512u32),
-                        rng.gen::<u32>()
-                    );
-                    let (_, w) = rt.ring.route_counted(&key);
+                    key.clear();
+                    write!(key, "/tenant/{}/object/{}", rng.gen_range(0..512u32), rng.gen::<u32>())
+                        .expect("writing to a String cannot fail");
+                    let (_, w) = rt.ring.route_counted(key);
                     work += w;
                 }
                 work
             }
             FaasWorkload::HtmlTemplate => {
-                // One request renders a multi-section page.
-                let mut work = 0;
-                for section in 0..1 {
-                    let mut ctx = Context::new();
-                    let items: Vec<String> = (0..rng.gen_range(6..20))
-                        .map(|i| format!("item-{section}-{i}"))
-                        .collect();
-                    ctx.insert("title".into(), "Edge page".into());
-                    ctx.insert("rows".into(), items.join("|"));
-                    ctx.insert("user".into(), "visitor <3".into());
-                    let (_, w) = render_counted(
-                        "<html><h1>{{title}}</h1><p>Hello {{user}}</p>\
-                         <ul>{{#each rows}}<li class=\"row\">{{item}}</li>{{/each}}</ul></html>",
-                        &ctx,
-                    )
-                    .expect("static template renders");
-                    work += w;
-                }
-                work
+                // One request renders a page; its work depends only on the
+                // row count, so it is looked up.
+                let rows: i32 = rng.gen_range(TEMPLATE_ROWS);
+                rt.template_work[(rows - TEMPLATE_ROWS.start) as usize]
             }
         }
     }
@@ -128,10 +112,33 @@ impl FaasWorkload {
     }
 }
 
-/// Pre-built workload state shared by all requests.
+/// Row counts a templated page is drawn from.
+const TEMPLATE_ROWS: std::ops::Range<i32> = 6..20;
+
+/// Runs the template engine on the page a request with `rows` list rows
+/// renders; returns its work units.
+fn render_page_work(rows: i32) -> u64 {
+    let mut ctx = Context::new();
+    let items: Vec<String> = (0..rows).map(|i| format!("item-0-{i}")).collect();
+    ctx.insert("title".into(), "Edge page".into());
+    ctx.insert("rows".into(), items.join("|"));
+    ctx.insert("user".into(), "visitor <3".into());
+    let (_, work) = render_counted(
+        "<html><h1>{{title}}</h1><p>Hello {{user}}</p>\
+         <ul>{{#each rows}}<li class=\"row\">{{item}}</li>{{/each}}</ul></html>",
+        &ctx,
+    )
+    .expect("static template renders");
+    work
+}
+
+/// Pre-built workload state shared by all requests: compiled filters (each
+/// carrying its lazy DFA), the hash ring, and the template work per row
+/// count.
 struct WorkloadRt {
     filters: Vec<Regex>,
     ring: HashRing,
+    template_work: Vec<u64>,
 }
 
 impl WorkloadRt {
@@ -147,8 +154,15 @@ impl WorkloadRt {
                 (0..16).map(|i| format!("origin-{i}")).collect::<Vec<_>>(),
                 64,
             ),
+            template_work: TEMPLATE_ROWS.map(render_page_work).collect(),
         }
     }
+}
+
+thread_local! {
+    /// One [`WorkloadRt`] per thread, so its regex DFAs stay warm across
+    /// streams.
+    static WORKLOAD_RT: WorkloadRt = WorkloadRt::new();
 }
 
 /// How request arrivals are generated.
@@ -480,14 +494,15 @@ enum Event {
 }
 
 /// Pre-generates a request stream for `duration_ms` 1 ms epochs, with
-/// per-request compute derived from real executions of the workload
-/// engines. Closed-loop mode injects exactly `requests_per_epoch` arrivals
-/// per epoch and consumes the RNG exactly as the legacy generator did;
-/// open-loop models draw the per-epoch count from the same RNG stream
-/// first. Either way the stream is a pure function of its arguments, so any
-/// two simulations given the same parameters see identical arrivals, IO
-/// delays and compute (the shared basis for both the single-core and the
-/// sharded multi-core schedulers).
+/// per-request compute derived from the workload engines (through the
+/// thread's shared `WorkloadRt` and its caches). Closed-loop mode injects
+/// exactly `requests_per_epoch` arrivals per epoch and consumes the RNG
+/// exactly as the legacy generator did; open-loop models draw the
+/// per-epoch count from the same RNG stream first. Either way the stream
+/// is a pure function of its arguments, so any two simulations given the
+/// same parameters see identical arrivals, IO delays and compute (the
+/// shared basis for both the single-core and the sharded multi-core
+/// schedulers).
 pub(crate) fn generate_stream(
     workload: FaasWorkload,
     duration_ms: u64,
@@ -497,31 +512,33 @@ pub(crate) fn generate_stream(
     seed: u64,
     arrivals: &ArrivalModel,
 ) -> Vec<Request> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rt = WorkloadRt::new();
-    let mut reqs = Vec::new();
-    for e in 0..duration_ms {
-        let count = match arrivals.epoch_rate(e) {
-            None => requests_per_epoch,
-            Some(rate_per_ms) => crate::stats::poisson_count(&mut rng, rate_per_ms) as u32,
-        };
-        for _ in 0..count {
-            let arrival_ns = e * 1_000_000 + rng.gen_range(0..1_000_000);
-            let total_work = workload.service_work(&mut rng, &rt);
-            let per_stage_ns = (total_work as f64 * workload.ns_per_work_unit() / f64::from(stages))
-                .max(1_000.0) as u64;
-            let io_ns = (0..stages)
-                .map(|_| {
-                    // Poisson in ms, jittered within the ms by an exponential.
-                    let ms = poisson(&mut rng, io_mean_ms).max(1);
-                    ms * 1_000_000 + (exponential(&mut rng, 0.2) * 1e6) as u64
-                })
-                .collect();
-            let compute_ns = vec![per_stage_ns; stages as usize];
-            reqs.push(Request { arrival_ns, io_ns, compute_ns });
+    WORKLOAD_RT.with(|rt| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut key = String::new();
+        let mut reqs = Vec::new();
+        for e in 0..duration_ms {
+            let count = match arrivals.epoch_rate(e) {
+                None => requests_per_epoch,
+                Some(rate_per_ms) => crate::stats::poisson_count(&mut rng, rate_per_ms) as u32,
+            };
+            for _ in 0..count {
+                let arrival_ns = e * 1_000_000 + rng.gen_range(0..1_000_000);
+                let total_work = workload.service_work(&mut rng, rt, &mut key);
+                let stage_ns = total_work as f64 * workload.ns_per_work_unit() / f64::from(stages);
+                let per_stage_ns = stage_ns.max(1_000.0) as u64;
+                let io_ns = (0..stages)
+                    .map(|_| {
+                        // Poisson in ms, jittered within the ms by an exponential.
+                        let ms = poisson(&mut rng, io_mean_ms).max(1);
+                        ms * 1_000_000 + (exponential(&mut rng, 0.2) * 1e6) as u64
+                    })
+                    .collect();
+                let compute_ns = vec![per_stage_ns; stages as usize];
+                reqs.push(Request { arrival_ns, io_ns, compute_ns });
+            }
         }
-    }
-    reqs
+        reqs
+    })
 }
 
 /// Pre-generates the request stream (identical across modes for a seed).
@@ -1089,5 +1106,54 @@ mod tests {
             cg.p99_latency_ms,
             mp.p99_latency_ms
         );
+    }
+
+    #[test]
+    fn stream_matches_the_engine_per_request_record() {
+        // FNV-1a over every field of every request for 3 workloads × 3
+        // arrival models × 60 seeds, recorded when every request ran its
+        // engines afresh: the shared engines and their caches must charge
+        // the same work, bit for bit.
+        let models = [
+            ArrivalModel::ClosedLoop,
+            ArrivalModel::Poisson { rate_rps: 12_000.0 },
+            ArrivalModel::bursty(12_000.0),
+        ];
+        let mut bytes = Vec::new();
+        for workload in FaasWorkload::ALL {
+            for model in &models {
+                for seed in 0..60 {
+                    let s = generate_stream(workload, 10, 8, 5.0, 3, seed, model);
+                    bytes.extend_from_slice(&(s.len() as u64).to_le_bytes());
+                    for r in &s {
+                        let fields = std::iter::once(&r.arrival_ns).chain(&r.io_ns);
+                        for v in fields.chain(&r.compute_ns) {
+                            bytes.extend_from_slice(&v.to_le_bytes());
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(crate::hashlb::fnv1a(&bytes), 0x764b_6306_56e2_c91d);
+    }
+
+    #[test]
+    fn template_table_matches_a_direct_render() {
+        let rt = WorkloadRt::new();
+        assert_eq!(rt.template_work.len(), TEMPLATE_ROWS.len());
+        for (rows, &work) in TEMPLATE_ROWS.zip(&rt.template_work) {
+            let items: Vec<String> = (0..rows).map(|i| format!("item-0-{i}")).collect();
+            let mut ctx = Context::new();
+            ctx.insert("title".into(), "Edge page".into());
+            ctx.insert("rows".into(), items.join("|"));
+            ctx.insert("user".into(), "visitor <3".into());
+            let (_, direct) = render_counted(
+                "<html><h1>{{title}}</h1><p>Hello {{user}}</p>\
+                 <ul>{{#each rows}}<li class=\"row\">{{item}}</li>{{/each}}</ul></html>",
+                &ctx,
+            )
+            .unwrap();
+            assert_eq!(work, direct, "row count {rows}");
+        }
     }
 }

@@ -60,9 +60,9 @@ impl TraceKind {
     }
 
     /// Whether this kind is a *fault* event — the post-mortem evidence a
-    /// long-running server must never age out of its ring
-    /// ([`Retention::PinFaults`]): the trap itself and the
-    /// quarantine/recycle that contained it.
+    /// long-running server keeps in a ring of its own, where lifecycle
+    /// chatter cannot age it out ([`Retention::PinFaults`]): the trap
+    /// itself and the quarantine/recycle that contained it.
     pub fn is_fault(self) -> bool {
         matches!(self, TraceKind::Trap | TraceKind::Recycle)
     }
@@ -97,11 +97,12 @@ pub enum Retention {
     #[default]
     Uniform,
     /// Per-kind retention for long-running servers: fault events
-    /// ([`TraceKind::is_fault`] — traps and quarantine recycles) are pinned
-    /// and never evicted; ring eviction applies only to the high-rate
-    /// lifecycle kinds (enter/exit/spawn/steal/compile). Pinned events sit
-    /// outside the configured capacity — faults are rare by design, and a
-    /// fault-saturated server has bigger problems than its trace budget.
+    /// ([`TraceKind::is_fault`] — traps and quarantine recycles) get a ring
+    /// of their own, the same `capacity` as the ring the high-rate
+    /// lifecycle kinds (enter/exit/spawn/steal/compile) share. A burst of
+    /// lifecycle chatter never ages a fault out; only newer faults do, and
+    /// those evictions are counted per kind like any other. The recorder
+    /// holds at most `2 × capacity` events.
     PinFaults,
 }
 
@@ -169,21 +170,17 @@ pub struct Drained {
 /// wraparound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightRecorder {
-    /// The evictable ring: `(sequence, event)` in sequence order.
+    /// The main ring: `(sequence, event)` in sequence order.
     ring: VecDeque<(u64, TraceEvent)>,
-    /// Pinned events ([`Retention::PinFaults`] only): never evicted, in
-    /// sequence order, outside the ring capacity.
-    pinned: Vec<(u64, TraceEvent)>,
+    /// Fault events under [`Retention::PinFaults`]: a second ring of the
+    /// same capacity, in sequence order.
+    faults: VecDeque<(u64, TraceEvent)>,
     capacity: usize,
     retention: Retention,
     total: u64,
     /// Events evicted so far, and per kind (for retention diagnostics).
     evicted: u64,
     evicted_by_kind: [u64; TRACE_KINDS],
-    /// Sequence of the newest evicted event. Evictions happen in sequence
-    /// order, so every evictable event at or below this is gone and every
-    /// one above it is retained.
-    max_evicted_seq: Option<u64>,
 }
 
 impl FlightRecorder {
@@ -193,18 +190,17 @@ impl FlightRecorder {
     }
 
     /// A recorder with an explicit [`Retention`] policy. Under
-    /// [`Retention::PinFaults`], `capacity` bounds the evictable ring only;
-    /// pinned fault events are retained beyond it.
+    /// [`Retention::PinFaults`], `capacity` bounds the lifecycle ring and
+    /// the fault ring each.
     pub fn with_retention(capacity: usize, retention: Retention) -> FlightRecorder {
         FlightRecorder {
             ring: VecDeque::with_capacity(capacity.min(4096)),
-            pinned: Vec::new(),
+            faults: VecDeque::new(),
             capacity,
             retention,
             total: 0,
             evicted: 0,
             evicted_by_kind: [0; TRACE_KINDS],
-            max_evicted_seq: None,
         }
     }
 
@@ -218,7 +214,7 @@ impl FlightRecorder {
         self.capacity > 0
     }
 
-    /// The configured capacity (of the evictable ring).
+    /// The configured capacity (of each ring).
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -228,14 +224,14 @@ impl FlightRecorder {
         self.retention
     }
 
-    /// Events currently retained (ring + pinned).
+    /// Events currently retained (both rings).
     pub fn len(&self) -> usize {
-        self.ring.len() + self.pinned.len()
+        self.ring.len() + self.faults.len()
     }
 
     /// Whether no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty() && self.pinned.is_empty()
+        self.ring.is_empty() && self.faults.is_empty()
     }
 
     /// Events ever recorded (including overwritten ones).
@@ -243,15 +239,13 @@ impl FlightRecorder {
         self.total
     }
 
-    /// Events evicted by ring wraparound so far (never includes pinned
-    /// kinds under [`Retention::PinFaults`]).
+    /// Events evicted by ring wraparound so far (both rings).
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
 
-    /// Events of `kind` evicted so far — under [`Retention::PinFaults`]
-    /// this stays 0 for fault kinds by construction, which is the
-    /// per-kind retention guarantee in one assertable number.
+    /// Events of `kind` evicted so far — under [`Retention::PinFaults`] a
+    /// fault kind counts only faults pushed out by newer faults.
     pub fn evicted_of(&self, kind: TraceKind) -> u64 {
         self.evicted_by_kind[kind.index()]
     }
@@ -263,20 +257,20 @@ impl FlightRecorder {
         }
         let seq = self.total;
         self.total += 1;
-        if self.retention == Retention::PinFaults && ev.kind.is_fault() {
-            self.pinned.push((seq, ev));
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            let (old_seq, old) = self.ring.pop_front().expect("capacity > 0");
+        let ring = if self.retention == Retention::PinFaults && ev.kind.is_fault() {
+            &mut self.faults
+        } else {
+            &mut self.ring
+        };
+        if ring.len() == self.capacity {
+            let (_, old) = ring.pop_front().expect("capacity > 0");
             self.evicted += 1;
             self.evicted_by_kind[old.kind.index()] += 1;
-            self.max_evicted_seq = Some(old_seq);
         }
-        self.ring.push_back((seq, ev));
+        ring.push_back((seq, ev));
     }
 
-    /// Retained events, oldest first (sequence order; pinned and ring
+    /// Retained events, oldest first (sequence order; fault and lifecycle
     /// events interleave exactly as recorded).
     pub fn events(&self) -> Vec<TraceEvent> {
         self.retained(0).into_iter().map(|(_, e)| e).collect()
@@ -286,20 +280,21 @@ impl FlightRecorder {
     /// sequence order.
     fn retained(&self, cursor: u64) -> Vec<(u64, TraceEvent)> {
         let ring_from = self.ring.partition_point(|(s, _)| *s < cursor);
-        let pin_from = self.pinned.partition_point(|(s, _)| *s < cursor);
-        let mut out = Vec::with_capacity(self.ring.len() - ring_from + self.pinned.len() - pin_from);
-        let (mut i, mut j) = (ring_from, pin_from);
-        while i < self.ring.len() && j < self.pinned.len() {
-            if self.ring[i].0 < self.pinned[j].0 {
+        let fault_from = self.faults.partition_point(|(s, _)| *s < cursor);
+        let len = self.ring.len() - ring_from + self.faults.len() - fault_from;
+        let mut out = Vec::with_capacity(len);
+        let (mut i, mut j) = (ring_from, fault_from);
+        while i < self.ring.len() && j < self.faults.len() {
+            if self.ring[i].0 < self.faults[j].0 {
                 out.push(self.ring[i]);
                 i += 1;
             } else {
-                out.push(self.pinned[j]);
+                out.push(self.faults[j]);
                 j += 1;
             }
         }
-        out.extend(self.ring.iter().skip(i));
-        out.extend_from_slice(&self.pinned[j..]);
+        out.extend(self.ring.range(i..));
+        out.extend(self.faults.range(j..));
         out
     }
 
@@ -307,7 +302,7 @@ impl FlightRecorder {
     /// current end when nothing is retained).
     pub fn first_retained_seq(&self) -> u64 {
         let ring = self.ring.front().map(|(s, _)| *s);
-        let pin = self.pinned.first().map(|(s, _)| *s);
+        let pin = self.faults.front().map(|(s, _)| *s);
         match (ring, pin) {
             (Some(r), Some(p)) => r.min(p),
             (Some(r), None) => r,
@@ -325,30 +320,21 @@ impl FlightRecorder {
     /// Cursor-based incremental drain, the live-streaming counterpart of
     /// the post-mortem [`FlightRecorder::events`] dump: returns every
     /// retained event with sequence ≥ `cursor` (oldest first) plus how many
-    /// requested events the ring had already overwritten. `dropped` counts
-    /// *lost* events only: under [`Retention::PinFaults`], a pinned trap
-    /// older than the ring window is returned, not counted as dropped —
-    /// per-kind retention keeps the drop accounting honest per kind. The
+    /// requested events the rings had already overwritten. `dropped` counts
+    /// *lost* events only: under [`Retention::PinFaults`], a retained trap
+    /// older than the lifecycle ring's window is returned, not counted as
+    /// dropped. The
     /// recorder is not mutated — the caller owns its cursor, so independent
     /// scrapers can stream at their own pace — and repeatedly draining from
     /// cursor 0 on a ring that never wrapped reproduces `events()` exactly,
     /// which is what makes a concatenated stream byte-identical to the
     /// batch export.
     pub fn events_since(&self, cursor: u64) -> Drained {
-        // Evictions happen in sequence order, so the evicted set is exactly
-        // the non-pinned sequences ≤ max_evicted_seq. The count at or after
-        // the cursor is that span's width minus its retained (pinned)
-        // events.
-        let dropped = match self.max_evicted_seq {
-            Some(m) if cursor <= m => {
-                let span = m + 1 - cursor;
-                let pinned_in_span = self.pinned.partition_point(|(s, _)| *s <= m) as u64
-                    - self.pinned.partition_point(|(s, _)| *s < cursor) as u64;
-                span - pinned_in_span
-            }
-            _ => 0,
-        };
-        let events = self.retained(cursor).into_iter().map(|(_, e)| e).collect();
+        // Every sequence below `total` was recorded, and each is either
+        // retained or evicted: what the cursor asked for and did not get
+        // was evicted.
+        let events: Vec<TraceEvent> = self.retained(cursor).into_iter().map(|(_, e)| e).collect();
+        let dropped = self.total.saturating_sub(cursor) - events.len() as u64;
         Drained { events, next: self.total, dropped }
     }
 
@@ -487,8 +473,8 @@ mod tests {
             arg: 0,
         };
         let mut r = FlightRecorder::with_retention(3, Retention::PinFaults);
-        // seq 0..2: enters; seq 3: trap; seq 4..9: enters — the ring (cap 3)
-        // wraps while the trap is pinned outside it.
+        // seq 0..2: enters; seq 3: trap; seq 4..9: enters — the lifecycle
+        // ring (cap 3) wraps while the trap sits in the fault ring.
         for t in 0..3 {
             r.record(ev(t, t));
         }
@@ -503,7 +489,7 @@ mod tests {
         assert_eq!(ticks, [3, 7, 8, 9], "pinned trap outlives the ring window");
         assert_eq!(r.evicted(), 6);
         assert_eq!(r.evicted_of(TraceKind::Enter), 6);
-        assert_eq!(r.evicted_of(TraceKind::Trap), 0, "faults are never evicted");
+        assert_eq!(r.evicted_of(TraceKind::Trap), 0, "one trap fits the fault ring");
         // Drop accounting is per kind: cursor 0 missed the 6 evicted enters
         // but receives the pinned trap, so it is not counted as dropped.
         let d = r.events_since(0);
@@ -531,6 +517,32 @@ mod tests {
         assert_eq!(u.events().iter().map(|e| e.tick).collect::<Vec<_>>(), [7, 8, 9]);
         assert_eq!(u.evicted_of(TraceKind::Trap), 1);
         assert_eq!(u.events_since(0).dropped, 7);
+    }
+
+    #[test]
+    fn pinned_faults_keep_the_newest_capacity_with_exact_drops() {
+        let trap =
+            |t: u64| TraceEvent { tick: t, core: 0, sandbox: t, kind: TraceKind::Trap, arg: 0 };
+        let mut r = FlightRecorder::with_retention(3, Retention::PinFaults);
+        for t in 0..10 {
+            r.record(trap(t));
+        }
+        assert_eq!(r.events().iter().map(|e| e.tick).collect::<Vec<_>>(), [7, 8, 9]);
+        assert_eq!(r.len(), 3, "the fault ring is bounded by the capacity");
+        assert_eq!((r.evicted(), r.evicted_of(TraceKind::Trap)), (7, 7));
+        assert_eq!(r.first_retained_seq(), 7);
+        assert_eq!(r.events_since(0).dropped, 7);
+        assert_eq!(r.events_since(5).dropped, 2);
+        assert_eq!(r.events_since(8).dropped, 0);
+        // Lifecycle events never push a fault out, and vice versa.
+        for t in 10..15 {
+            r.record(ev(t, t));
+        }
+        assert_eq!(r.events().iter().map(|e| e.tick).collect::<Vec<_>>(), [7, 8, 9, 12, 13, 14]);
+        assert_eq!(r.evicted_of(TraceKind::Trap), 7);
+        assert_eq!(r.evicted_of(TraceKind::Enter), 2);
+        let d = r.events_since(0);
+        assert_eq!((d.events.len(), d.dropped, d.next), (6, 9, 15));
     }
 
     #[test]

@@ -31,6 +31,19 @@ done
 echo "$HB_TRACE" | grep -q '"correct": true' || { echo "traced kernel_batch failed"; exit 1; }
 echo "modeled counts match the record"
 
+echo "== stream-model drift watch (traced fleet_rounds, seed 5) =="
+# The FaaS request streams charge work from cached engine results (template
+# table, lazy regex DFA); these modeled values were recorded when every
+# request ran the engines afresh, so a cache that changes a charge fails
+# here. faas.ls_p99_ms is not watched: it is scaled by a host-time factor.
+HB_FLEET=$(cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
+  --workload fleet_rounds --seed 5 --seconds 1 --trace 1 | tail -1)
+for want in '"faas.modeled_offered": {"value": 144191,' '"faas.goodput": {"value": 0.7781553633721938,'; do
+  echo "$HB_FLEET" | grep -qF "$want" || { echo "stream-model drift: expected $want"; exit 1; }
+done
+echo "$HB_FLEET" | grep -q '"correct": true' || { echo "traced fleet_rounds failed"; exit 1; }
+echo "stream-model values match the record"
+
 echo "== tests (workspace) =="
 cargo test -q --offline --workspace
 

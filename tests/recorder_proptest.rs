@@ -2,7 +2,8 @@
 //! ([`FlightRecorder::events_since`]) across ring wraparound and the
 //! [`Retention::PinFaults`] policy: drains are strictly monotone in
 //! sequence, every requested event is either returned or honestly counted
-//! as dropped, and pinned fault kinds are never part of the drop count.
+//! as dropped, and the fault ring keeps the newest faults and counts every
+//! fault it evicts.
 
 use proptest::prelude::*;
 use sfi_telemetry::{FlightRecorder, Retention, TraceEvent, TraceKind};
@@ -72,21 +73,31 @@ proptest! {
                 .collect();
             let drained: Vec<u64> = d.events.iter().map(|e| e.tick).collect();
             prop_assert_eq!(drained, suffix);
-            if retention == Retention::PinFaults {
-                // Per-kind honesty: fault kinds are never evicted, so every
-                // fault ever recorded is still drainable from cursor 0 and
-                // contributes nothing to any drop count.
-                prop_assert_eq!(r.evicted_of(TraceKind::Trap), 0u64);
-                prop_assert_eq!(r.evicted_of(TraceKind::Recycle), 0u64);
-                if r.is_enabled() {
-                    let recorded = ops.iter().filter(|&&op| kind_of(op).is_fault()).count();
-                    let drained = r
-                        .events_since(0)
-                        .events
-                        .iter()
-                        .filter(|e| e.kind.is_fault())
-                        .count();
-                    prop_assert_eq!(drained, recorded);
+            if retention == Retention::PinFaults && r.is_enabled() {
+                // Per-kind honesty: the fault ring retains exactly the newest
+                // min(capacity, faults recorded) faults, and every fault it
+                // evicted is counted under its own kind.
+                let faults: Vec<u64> = ops
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &op)| kind_of(op).is_fault())
+                    .map(|(seq, _)| seq as u64)
+                    .collect();
+                let kept = faults.len().min(capacity);
+                let drained: Vec<u64> = r
+                    .events_since(0)
+                    .events
+                    .iter()
+                    .filter(|e| e.kind.is_fault())
+                    .map(|e| e.tick)
+                    .collect();
+                prop_assert_eq!(&drained[..], &faults[faults.len() - kept..]);
+                for kind in [TraceKind::Trap, TraceKind::Recycle] {
+                    let of_kind = |seqs: &[u64]| {
+                        seqs.iter().filter(|&&seq| kind_of(ops[seq as usize]) == kind).count()
+                    };
+                    let evicted = of_kind(&faults) - of_kind(&drained);
+                    prop_assert_eq!(r.evicted_of(kind), evicted as u64);
                 }
             }
         }
