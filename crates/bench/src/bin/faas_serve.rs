@@ -31,14 +31,12 @@
 //!   stays within the overhead budget.
 
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use sfi_bench::{arg_after, get_mode, serve_and_drive};
 use sfi_faas::{serve_blocking, ServeConfig, ServeEngine};
-use sfi_telemetry::{
-    chrome_trace_wrap, http_get, http_get_retry_with_timeout, json_is_valid, RetryPolicy,
-};
+use sfi_telemetry::{chrome_trace_wrap, http_get, json_is_valid};
 
 /// Documented scrape-under-load budget (DESIGN.md §8): driving the engine
 /// with a scraper attached may cost at most this factor over driving it
@@ -48,40 +46,12 @@ const OVERHEAD_BUDGET: f64 = 1.35;
 /// Rounds per timed check pass (short rounds: ServeConfig::paper_rig).
 const CHECK_ROUNDS: u64 = 3;
 
-fn arg_after(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--check") {
+    if std::env::args().any(|a| a == "--check") {
         check();
         return;
     }
-    if let Some(i) = args.iter().position(|a| a == "--get") {
-        let addr = args.get(i + 1).expect("--get ADDR PATH");
-        let path = args.get(i + 2).expect("--get ADDR PATH");
-        // Bounded deterministic retries: a refused connection or timeout is
-        // retried with backoff, and the exit is nonzero only once the
-        // budget is exhausted — a server still binding its port no longer
-        // fails the CI smoke scrape. `--timeout-ms` bounds each attempt's
-        // connect/read/write deadline so a server that accepts and hangs
-        // cannot wedge a CI scrape either.
-        let timeout = std::time::Duration::from_millis(
-            arg_after("--timeout-ms").map(|t| t.parse().expect("numeric timeout")).unwrap_or(10_000),
-        );
-        let (status, body, _attempts) =
-            http_get_retry_with_timeout(addr, path, &RetryPolicy::default(), timeout)
-                .expect("request failed");
-        // Rust ignores SIGPIPE, so a downstream `| head` surfaces as EPIPE
-        // on the write — the exit code must still reflect the HTTP status.
-        use std::io::Write;
-        if let Err(e) = std::io::stdout().write_all(body.as_bytes()) {
-            assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write body: {e}");
-        }
-        std::process::exit(if status == 200 { 0 } else { 1 });
-    }
+    get_mode();
 
     let port: u16 = arg_after("--port").map(|p| p.parse().expect("numeric port")).unwrap_or(9100);
     let max_rounds: Option<u64> = arg_after("--rounds").map(|r| r.parse().expect("numeric rounds"));
@@ -89,30 +59,10 @@ fn main() {
     let listener = TcpListener::bind(("127.0.0.1", port)).expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let engine = Arc::new(Mutex::new(ServeEngine::new(ServeConfig::paper_rig(4))));
-    let stop = Arc::new(AtomicBool::new(false));
-    let started = Instant::now();
     println!("faas_serve: listening on http://{addr}  (GET /metrics /snapshot /trace /healthz /alerts /query /quit)");
-
-    let driver = {
-        let engine = Arc::clone(&engine);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut rounds = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                engine.lock().expect("engine lock").run_round();
-                rounds += 1;
-                if max_rounds.is_some_and(|m| rounds >= m) {
-                    break;
-                }
-            }
-        })
-    };
-
-    serve_blocking(&listener, &engine, started).expect("serve loop");
-    stop.store(true, Ordering::Relaxed);
-    driver.join().expect("driver thread");
+    serve_and_drive(listener, &engine, max_rounds, ServeEngine::run_round, serve_blocking);
     let eng = engine.lock().expect("engine lock");
-    println!("faas_serve: quit after {} rounds, {} trace events", eng.rounds(), eng.stream().total_recorded());
+    println!("faas_serve: quit after {} rounds, {} trace events", eng.rounds(), eng.surface().stream().total_recorded());
 }
 
 /// Drives `rounds` engine rounds; when `addr` is given, performs a full
@@ -152,7 +102,7 @@ fn check() {
         offline.run_round();
     }
     let offline_snapshot = offline.snapshot_json();
-    let offline_trace = offline.trace_batch();
+    let offline_trace = offline.surface().trace_batch();
 
     // Live server on an ephemeral loopback port.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

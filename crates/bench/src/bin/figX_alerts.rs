@@ -22,6 +22,7 @@
 
 use std::time::Instant;
 
+use sfi_bench::{json_field, silence_injected_panics};
 use sfi_faas::{
     ArrivalModel, FleetAlertPolicy, FleetConfig, FleetSupervisor, QosConfig, RetireReason,
     ServeConfig, ServeEngine, FLEET_BURN_RULE, MEMBER_AVAILABILITY_RULE,
@@ -119,8 +120,8 @@ fn build() -> (String, String) {
         scenarios.push(format!(
             "{{\"scenario\": \"clean_{i}\", \"rounds\": {CLEAN_ROUNDS}, \"transitions\": {}, \
              \"firing\": {}}}",
-            fleet.alerts().next_seq(),
-            fleet.alerts().firing().len(),
+            fleet.surface().alerts().next_seq(),
+            fleet.surface().alerts().firing().len(),
         ));
     }
 
@@ -132,7 +133,7 @@ fn build() -> (String, String) {
     for _ in 0..INCIDENT_ROUNDS {
         eng.run_round();
     }
-    let (events, _, _) = eng.alerts().log_since(0);
+    let (events, _, _) = eng.surface().alerts().log_since(0);
     let shed_detect = first_firing(&events, "shed_rate");
     scenarios.push(format!(
         "{{\"scenario\": \"serve_shed\", \"rule\": \"shed_rate\", \"detect_round\": {}, \
@@ -143,9 +144,9 @@ fn build() -> (String, String) {
     // 3. Fleet burn incident: 2.5× overload, the burn alert must fire and
     // scale the fleet out.
     let burn = run_fleet(alerting_fleet(1, 200_000.0, 0xB00_0001), INCIDENT_ROUNDS);
-    let (events, _, _) = burn.alerts().log_since(0);
+    let (events, _, _) = burn.surface().alerts().log_since(0);
     let burn_detect = first_firing(&events, FLEET_BURN_RULE);
-    let timeline = burn.alerts_body(0);
+    let timeline = burn.surface().alerts_body(0);
     scenarios.push(format!(
         "{{\"scenario\": \"fleet_burn\", \"rule\": \"{FLEET_BURN_RULE}\", \
          \"detect_round\": {}, \"budget\": {DETECT_BUDGET}, \"members_live\": {}}}",
@@ -156,7 +157,7 @@ fn build() -> (String, String) {
     // 4. Fault storm: the availability alert must fire and quarantine the
     // failing member.
     let storm = run_fleet(storm_fleet(), INCIDENT_ROUNDS);
-    let (events, _, _) = storm.alerts().log_since(0);
+    let (events, _, _) = storm.surface().alerts().log_since(0);
     let storm_detect = first_firing(&events, MEMBER_AVAILABILITY_RULE);
     let quarantined = storm
         .members()
@@ -172,12 +173,13 @@ fn build() -> (String, String) {
     // Determinism: the fleet-burn timeline through a rerun and through a
     // mid-round kill recovered from checkpoint.
     let rerun = run_fleet(alerting_fleet(1, 200_000.0, 0xB00_0001), INCIDENT_ROUNDS);
-    let rerun_ok = rerun.alerts_body(0) == timeline && rerun.snapshot_json() == burn.snapshot_json();
+    let rerun_ok = rerun.surface().alerts_body(0) == timeline
+        && rerun.snapshot_json() == burn.snapshot_json();
     let mut killed_cfg = alerting_fleet(1, 200_000.0, 0xB00_0001);
     killed_cfg.chaos = FaultPlan::new().engine_fail_at(0, 2, EngineFault::MidRoundPanic);
     let killed = run_fleet(killed_cfg, INCIDENT_ROUNDS);
     let kill_ok = killed.members()[0].restarts == 1
-        && killed.alerts_body(0) == timeline
+        && killed.surface().alerts_body(0) == timeline
         && killed.snapshot_json() == burn.snapshot_json();
 
     let json = format!(
@@ -222,10 +224,7 @@ fn check_overhead() {
 
 fn field(json: &str, scenario: &str, key: &str) -> Option<f64> {
     let line = json.lines().find(|l| l.contains(&format!("\"scenario\": \"{scenario}\"")))?;
-    let pat = format!("\"{key}\": ");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    json_field(line, key)
 }
 
 fn check(json: &str, timeline: &str) {
@@ -273,13 +272,7 @@ fn main() {
     let check_mode = std::env::args().any(|a| a == "--check");
     // Injected panics are caught by the supervisor; keep the default hook
     // from spraying backtraces over the bench output.
-    std::panic::set_hook(Box::new(|info| {
-        let msg =
-            info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or_default();
-        if !msg.starts_with("chaos: injected") {
-            eprintln!("{info}");
-        }
-    }));
+    silence_injected_panics();
     let (json, timeline) = build();
     let _ = std::panic::take_hook();
 
@@ -291,13 +284,7 @@ fn main() {
     println!("\nwrote BENCH_alerts.json");
 
     if check_mode {
-        std::panic::set_hook(Box::new(|info| {
-            let msg =
-                info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or_default();
-            if !msg.starts_with("chaos: injected") {
-                eprintln!("{info}");
-            }
-        }));
+        silence_injected_panics();
         check(&json, &timeline);
         let _ = std::panic::take_hook();
     }

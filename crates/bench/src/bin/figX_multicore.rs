@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use sfi_bench::row;
+use sfi_bench::{json_field, row};
 use sfi_faas::{multicore_sweep_json, simulate_multicore, CacheMode, MultiCoreConfig, ScalingMode};
 use sfi_runtime::RuntimeTelemetry;
 use sfi_telemetry::{chrome_trace, json_is_valid};
@@ -29,14 +29,6 @@ const OVERHEAD_BUDGET: f64 = 1.35;
 const SEED: u64 = 0x5E65E9;
 const DURATION_MS: u64 = 400;
 const CORES: [u32; 4] = [1, 2, 4, 8];
-
-fn json_field(row: &str, field: &str) -> Option<f64> {
-    let pat = format!("\"{field}\": ");
-    let start = row.find(&pat)? + pat.len();
-    let rest = &row[start..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 fn check(json: &str) {
     let rerun = multicore_sweep_json(SEED, DURATION_MS, &CORES);

@@ -17,7 +17,7 @@
 //!    with QoS off is byte-identical to the `BENCH_multicore.json` on
 //!    disk: the overload layer changed nothing it didn't opt into.
 
-use sfi_bench::row;
+use sfi_bench::{json_field, row, silence_injected_panics};
 use sfi_faas::{
     multicore_sweep_json, overload_sweep_json, AutoscalePolicy, ArrivalModel, FleetConfig,
     FleetSupervisor, ServeConfig,
@@ -38,14 +38,6 @@ const RATES: [f64; 7] =
 /// byte-compatibility gate to recompute `BENCH_multicore.json`.
 const MC_DURATION_MS: u64 = 400;
 const MC_CORES: [u32; 4] = [1, 2, 4, 8];
-
-fn json_field(row: &str, field: &str) -> Option<f64> {
-    let pat = format!("\"{field}\": ");
-    let start = row.find(&pat)? + pat.len();
-    let rest = &row[start..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 /// An elastic single-member fleet under ~2.5× overload: the unit gate 2
 /// kills and recovers — its size trajectory must not care.
@@ -71,13 +63,7 @@ fn elastic_fleet() -> FleetConfig {
 fn check_elastic_determinism() {
     // The injected panic is caught by the supervisor; keep the default
     // hook from spraying its backtrace over the bench output.
-    std::panic::set_hook(Box::new(|info| {
-        let msg =
-            info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or_default();
-        if !msg.starts_with("chaos: injected") {
-            eprintln!("{info}");
-        }
-    }));
+    silence_injected_panics();
     let run = |chaos: Option<FaultPlan>| {
         let mut cfg = elastic_fleet();
         if let Some(plan) = chaos {

@@ -29,8 +29,8 @@ use sfi_core::{CompilerConfig, Strategy};
 use sfi_faas::{simulate_multicore, CacheMode, FaasWorkload, MultiCoreConfig, ScalingMode};
 use sfi_runtime::{Engine, Runtime, RuntimeConfig, PENALTY_NAMES};
 use sfi_telemetry::{
-    json_is_valid, json_snapshot, AlertEngine, FoldedStacks, RecordingRule, RuleSource, Selector,
-    Tsdb,
+    json_escape, json_is_valid, json_snapshot, AlertEngine, FoldedStacks, RecordingRule,
+    RuleSource, Selector, Tsdb,
 };
 use sfi_x86::Provenance;
 
@@ -201,7 +201,7 @@ fn build_report() -> String {
     let folded_json = folded
         .render()
         .lines()
-        .map(|l| format!("\"{}\"", l.replace('\\', "\\\\").replace('"', "\\\"")))
+        .map(|l| format!("\"{}\"", json_escape(l)))
         .collect::<Vec<_>>()
         .join(",\n    ");
     format!(

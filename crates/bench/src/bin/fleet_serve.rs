@@ -22,8 +22,9 @@
 //!
 //! - `fleet_serve [--port N] [--members N] [--rounds N] [--chaos RATE]` —
 //!   serve until `/quit`.
-//! - `fleet_serve --get ADDR PATH` — scrape client with the hardened
-//!   bounded-retry policy; exits nonzero only after the budget is spent.
+//! - `fleet_serve --get ADDR PATH [--timeout-ms N]` — scrape client with
+//!   the hardened bounded-retry policy (the same client as `faas_serve`'s);
+//!   exits nonzero on a non-200 answer or once the budget is spent.
 //! - `fleet_serve --check` — the federation acceptance gate: K=3 seeded
 //!   member kills out of N=4 engines, fleet availability ≥ 0.75, every
 //!   recovered member byte-equal to an uninterrupted same-seed replay, the
@@ -32,15 +33,12 @@
 //!   series, and the TCP surface live end-to-end.
 
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use sfi_faas::{fleet_serve_blocking, FleetConfig, FleetSupervisor, MemberState};
-use sfi_telemetry::{
-    http_get_retry, http_get_retry_with_timeout, json_is_valid, json_snapshot, Registry,
-    RetryPolicy,
-};
+use sfi_bench::{arg_after, get_mode, serve_and_drive, silence_injected_panics};
+use sfi_faas::{serve_blocking, FleetConfig, FleetSupervisor, MemberState};
+use sfi_telemetry::{http_get_retry, json_is_valid, json_snapshot, Registry, RetryPolicy};
 use sfi_vm::{EngineFault, FaultPlan};
 
 /// Fleet size for `--check` (N engines, K=3 of them killed).
@@ -52,26 +50,6 @@ const CHECK_ROUNDS: u64 = 6;
 
 /// The availability floor the killed fleet must stay above.
 const AVAILABILITY_FLOOR: f64 = 0.75;
-
-fn arg_after(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Suppresses the default panic hook's output for the chaos layer's
-/// injected (and caught) mid-round panics; everything else still prints.
-fn silence_injected_panics() {
-    std::panic::set_hook(Box::new(|info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .unwrap_or_default();
-        if !msg.starts_with("chaos: injected") {
-            eprintln!("{info}");
-        }
-    }));
-}
 
 /// A small check-scale fleet: short rounds, N members.
 fn check_fleet(members: u32) -> FleetConfig {
@@ -94,28 +72,11 @@ fn check_kills() -> [(u64, u64, EngineFault); 3] {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--check") {
+    if std::env::args().any(|a| a == "--check") {
         check();
         return;
     }
-    if let Some(i) = args.iter().position(|a| a == "--get") {
-        let addr = args.get(i + 1).expect("--get ADDR PATH");
-        let path = args.get(i + 2).expect("--get ADDR PATH");
-        // `--timeout-ms` bounds each attempt's connect/read/write deadline
-        // so a member hung on accept cannot wedge a CI scrape.
-        let timeout = std::time::Duration::from_millis(
-            arg_after("--timeout-ms").map(|t| t.parse().expect("numeric timeout")).unwrap_or(10_000),
-        );
-        let (status, body, _attempts) =
-            http_get_retry_with_timeout(addr, path, &RetryPolicy::default(), timeout)
-                .expect("request failed");
-        use std::io::Write;
-        if let Err(e) = std::io::stdout().write_all(body.as_bytes()) {
-            assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write body: {e}");
-        }
-        std::process::exit(if status == 200 { 0 } else { 1 });
-    }
+    get_mode();
 
     silence_injected_panics();
     let port: u16 = arg_after("--port").map(|p| p.parse().expect("numeric port")).unwrap_or(9200);
@@ -135,31 +96,11 @@ fn main() {
     let listener = TcpListener::bind(("127.0.0.1", port)).expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let fleet = Arc::new(Mutex::new(FleetSupervisor::new(cfg)));
-    let stop = Arc::new(AtomicBool::new(false));
-    let started = Instant::now();
     println!(
         "fleet_serve: listening on http://{addr}  ({members} members; \
          GET /metrics /snapshot /trace /fleet /healthz /alerts /query /quit)"
     );
-
-    let driver = {
-        let fleet = Arc::clone(&fleet);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut rounds = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                fleet.lock().unwrap_or_else(|p| p.into_inner()).run_round();
-                rounds += 1;
-                if max_rounds.is_some_and(|m| rounds >= m) {
-                    break;
-                }
-            }
-        })
-    };
-
-    fleet_serve_blocking(&listener, &fleet, started).expect("serve loop");
-    stop.store(true, Ordering::Relaxed);
-    driver.join().expect("driver thread");
+    serve_and_drive(listener, &fleet, max_rounds, FleetSupervisor::run_round, serve_blocking);
     let sup = fleet.lock().unwrap_or_else(|p| p.into_inner());
     println!(
         "fleet_serve: quit after {} rounds, availability {:.4}, {}/{} members live",
@@ -259,7 +200,11 @@ fn check() {
     for _ in 0..CHECK_ROUNDS {
         rerun.run_round();
     }
-    assert_eq!(rerun.trace_batch(), fleet.trace_batch(), "recovery trace not reproducible");
+    assert_eq!(
+        rerun.surface().trace_batch(),
+        fleet.surface().trace_batch(),
+        "recovery trace not reproducible"
+    );
     assert_eq!(rerun.clock().now(), fleet.clock().now(), "virtual timelines diverged");
 
     // 6. The TCP surface serves the federation end-to-end: run the same
@@ -276,7 +221,7 @@ fn check() {
     let server = {
         let live = Arc::clone(&live);
         std::thread::spawn(move || {
-            fleet_serve_blocking(&listener, &live, started).expect("serve")
+            serve_blocking(&listener, &live, started).expect("serve")
         })
     };
     for _ in 0..CHECK_ROUNDS {

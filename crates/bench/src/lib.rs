@@ -1,10 +1,12 @@
 //! # sfi-bench: the evaluation harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus the
-//! Criterion microbenchmarks in `benches/`. This library holds the shared
-//! measurement plumbing: compile a corpus workload under a strategy, run it
-//! on the deterministic emulator, and report modeled cycles, instruction
-//! counts and code size.
+//! One binary per table/figure of the paper (see `src/bin/`). This library
+//! holds the shared measurement plumbing: compile a corpus workload under a
+//! strategy, run it on the deterministic emulator, and report modeled
+//! cycles, instruction counts and code size. It also holds what the binaries
+//! share beyond that: command-line parsing, the serve binaries' scrape
+//! client and driver loop, and reading fields back out of `BENCH_*.json`
+//! rows.
 //!
 //! Reproduce everything with:
 //!
@@ -25,7 +27,13 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write;
+use std::net::TcpListener;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
+
 use sfi_core::{compile, CompiledModule, CompilerConfig, Strategy};
+use sfi_telemetry::{http_get_retry_with_timeout, RetryPolicy};
 use sfi_workloads::Workload;
 use sfi_x86::cost::RunStats;
 
@@ -93,6 +101,82 @@ pub fn row(cells: &[String], widths: &[usize]) {
         line.push_str(&format!("{c:>w$}  ", w = *w));
     }
     println!("{}", line.trim_end());
+}
+
+/// The value after `flag` on the command line, if both are there.
+pub fn arg_after(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+}
+
+/// A numeric field of one JSON row (`"field": <number>`), as the `--check`
+/// gates read their `BENCH_*.json` rows back.
+pub fn json_field(row: &str, field: &str) -> Option<f64> {
+    let pat = format!("\"{field}\": ");
+    let start = row.find(&pat)? + pat.len();
+    let rest = &row[start..];
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// The serve binaries' `--get ADDR PATH [--timeout-ms N]` mode, a one-shot
+/// scrape client (the CI smoke steps use it instead of curl). Returns when
+/// `--get` is absent; otherwise prints the body and exits 0 on HTTP 200, 1
+/// otherwise. Refused connections and timeouts are retried with bounded
+/// backoff; `--timeout-ms` (default 10000) bounds each attempt's connect,
+/// read and write, so a server that accepts and hangs cannot wedge it.
+pub fn get_mode() {
+    let args: Vec<String> = std::env::args().collect();
+    let Some(i) = args.iter().position(|a| a == "--get") else { return };
+    let addr = args.get(i + 1).expect("--get ADDR PATH");
+    let path = args.get(i + 2).expect("--get ADDR PATH");
+    let timeout = Duration::from_millis(
+        arg_after("--timeout-ms").map(|t| t.parse().expect("numeric timeout")).unwrap_or(10_000),
+    );
+    let (status, body, _attempts) =
+        http_get_retry_with_timeout(addr, path, &RetryPolicy::default(), timeout)
+            .expect("request failed");
+    // Rust ignores SIGPIPE, so a downstream `| head` surfaces as EPIPE on
+    // the write — the exit code must still reflect the HTTP status.
+    if let Err(e) = std::io::stdout().write_all(body.as_bytes()) {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write body: {e}");
+    }
+    std::process::exit(if status == 200 { 0 } else { 1 });
+}
+
+/// Serves `owner` on `listener` with `serve` (`sfi_faas::serve_blocking`)
+/// until `/quit`, while this thread runs `round` back to back until then,
+/// or at most `max_rounds` times.
+pub fn serve_and_drive<O: Send + 'static, R>(
+    listener: TcpListener,
+    owner: &Arc<Mutex<O>>,
+    max_rounds: Option<u64>,
+    round: fn(&mut O) -> R,
+    serve: fn(&TcpListener, &Mutex<O>, Instant) -> std::io::Result<()>,
+) {
+    let server = {
+        let owner = Arc::clone(owner);
+        let started = Instant::now();
+        std::thread::spawn(move || serve(&listener, &owner, started))
+    };
+    let mut rounds = 0u64;
+    while !server.is_finished() && max_rounds.is_none_or(|m| rounds < m) {
+        round(&mut owner.lock().unwrap_or_else(PoisonError::into_inner));
+        rounds += 1;
+    }
+    server.join().expect("server thread").expect("serve loop");
+}
+
+/// Keeps the default panic hook from printing the chaos layer's injected
+/// mid-round panics, which the fleet supervisor catches; every other panic
+/// still prints.
+pub fn silence_injected_panics() {
+    std::panic::set_hook(Box::new(|info| {
+        let msg = info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        if !msg.starts_with("chaos: injected") {
+            eprintln!("{info}");
+        }
+    }));
 }
 
 #[cfg(test)]

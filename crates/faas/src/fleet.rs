@@ -28,7 +28,9 @@
 //!   which — because every [`ServeEngine`] is a pure function of its config
 //!   and round count — reproduces the pre-crash modeled state *byte for
 //!   byte*, then re-runs the interrupted round.
-//! - The federated scrape surface merges member registries with
+//! - The federated scrape surface is the per-engine one
+//!   ([`crate::surface`]: one route table, one accept loop) plus `/fleet`.
+//!   It merges member registries with
 //!   [`Registry::merge_labeled_from`] under an `engine="<id>"` label, so
 //!   same-schema members cannot collide while genuine kind collisions still
 //!   panic. `/snapshot` serves the merged modeled registry only; all
@@ -38,25 +40,19 @@
 //!   fleet-level restatement of the DESIGN.md §8 zero-observer-effect
 //!   contract.
 
-use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-use std::time::Instant;
 
 use sfi_pool::QuarantinePolicy;
 use sfi_telemetry::{
-    chrome_trace, chrome_trace_gap_line, chrome_trace_lines, json_is_valid, json_snapshot,
-    pack_span, percent_decode, prometheus_text, retry_with, AlertEngine, AlertRule,
-    BucketExemplars, CompareOp, CounterId, Cursor, FlightRecorder, FoldedStacks, GaugeId,
-    HttpRequest, HttpResponse, RecordingRule, Registry, Retention, RetryPolicy, RuleSource,
-    SpanLevel, TraceEvent, TraceKind, Tsdb, VirtualClock,
+    json_escape, json_is_valid, json_snapshot, pack_span, retry_with, AlertEngine, AlertRule,
+    BucketExemplars, CompareOp, CounterId, FoldedStacks, GaugeId, HttpRequest, HttpResponse,
+    RecordingRule, Registry, RetryPolicy, RuleSource, SpanLevel, TraceEvent, TraceKind, Tsdb,
+    VirtualClock,
 };
 use sfi_vm::{EngineFault, FaultPlan};
 
-use crate::serve::{
-    render_query, ServeConfig, ServeEngine, ALERT_LOG_CAPACITY, NS_PER_TICK, TSDB_MAX_SERIES,
-    TSDB_WINDOW,
-};
+use crate::serve::{round_seed, ServeConfig, ServeEngine};
+use crate::surface::{route, ScrapeOwner, ScrapeSurface};
 
 /// Name of the fleet-level multi-window LS burn alert (the closed-loop
 /// scale-out trigger).
@@ -92,7 +88,7 @@ pub struct FleetConfig {
     /// backoff, charged to the virtual clock.
     pub retry: RetryPolicy,
     /// Capacity of the fleet's supervision trace ring, and of the separate
-    /// ring its fault events keep ([`Retention::PinFaults`]).
+    /// ring its fault events keep ([`sfi_telemetry::Retention::PinFaults`]).
     pub stream_capacity: usize,
     /// Elastic sizing on sustained occupancy crossings; `None` (the
     /// default) keeps the fleet static, byte-identical to the pre-elastic
@@ -263,17 +259,8 @@ impl FleetConfig {
     /// A fleet of `members` engines, each a [`ServeConfig::paper_rig`] with
     /// `cores` cores and a member-decorrelated seed.
     pub fn paper_rig(members: u32, cores: u32) -> FleetConfig {
-        let members = (0..members)
-            .map(|m| {
-                let mut cfg = ServeConfig::paper_rig(cores);
-                // Same splitmix-style mix the round seeds use: members are
-                // decorrelated but the fleet stays a pure function of the
-                // per-member base seeds.
-                cfg.engine.seed = crate::serve::round_seed(cfg.engine.seed, 0x4_0000 + m as u64);
-                cfg.probe.seed = crate::serve::round_seed(cfg.probe.seed, 0x8_0000 + m as u64);
-                cfg
-            })
-            .collect();
+        let template = ServeConfig::paper_rig(cores);
+        let members = (0..members as u64).map(|id| member_config(&template, id)).collect();
         FleetConfig {
             members,
             policy: QuarantinePolicy::default(),
@@ -284,6 +271,17 @@ impl FleetConfig {
             alerting: None,
         }
     }
+}
+
+/// Member `id`'s config: `template` with its engine and probe seeds
+/// decorrelated by the id. Same splitmix-style mix the round seeds use, so
+/// the fleet, founding and spawned members alike, stays a pure function of
+/// the template seeds.
+fn member_config(template: &ServeConfig, id: u64) -> ServeConfig {
+    let mut cfg = template.clone();
+    cfg.engine.seed = round_seed(template.engine.seed, 0x4_0000 + id);
+    cfg.probe.seed = round_seed(template.probe.seed, 0x8_0000 + id);
+    cfg
 }
 
 /// A member's lifecycle state.
@@ -347,6 +345,21 @@ struct Member {
 }
 
 impl Member {
+    /// A live member that has run no rounds yet.
+    fn new(id: u64, cfg: ServeConfig) -> Member {
+        Member {
+            id,
+            engine: ServeEngine::new(cfg.clone()),
+            cfg,
+            state: MemberState::Live,
+            faults: 0,
+            restarts: 0,
+            checkpoint_rounds: 0,
+            dead_lettered_rounds: 0,
+            retire_reason: None,
+        }
+    }
+
     /// An uninterrupted replay of this member's config for `rounds`
     /// rounds — the crash-recovery primitive *and* the byte-equality
     /// reference the `--check` gate diffs against.
@@ -390,7 +403,6 @@ struct FleetMeta {
     alert_scale_out: CounterId,
     quarantines: CounterId,
     members_live: GaugeId,
-    scrapes: [CounterId; 8],
 }
 
 impl FleetMeta {
@@ -414,8 +426,6 @@ impl FleetMeta {
             alert_scale_out: reg.counter("sfi_fleet_alert_scale_out_total"),
             quarantines: reg.counter("sfi_fleet_quarantines_total"),
             members_live: reg.gauge("sfi_fleet_members_live"),
-            scrapes: ["metrics", "snapshot", "trace", "healthz", "fleet", "profile", "alerts", "query"]
-                .map(|ep| reg.counter_with("sfi_fleet_scrapes_total", &[("endpoint", ep)])),
         }
     }
 }
@@ -432,9 +442,6 @@ pub struct FleetSupervisor {
     /// Virtual time: round durations, poll RTTs, timeouts and backoff all
     /// advance this clock, so the supervision trace is byte-reproducible.
     clock: VirtualClock,
-    /// The supervision trace: member lifecycle + poll outcomes, fault
-    /// events in their own ring.
-    stream: FlightRecorder,
     /// Supervision bookkeeping (merged into `/metrics` only).
     reg: Registry,
     meta: FleetMeta,
@@ -443,14 +450,13 @@ pub struct FleetSupervisor {
     failed_polls: u64,
     autoscale: Option<AutoscalePolicy>,
     alerting: Option<FleetAlertPolicy>,
-    /// Federated time-series store: the merged modeled registry, member
-    /// burn gauges and per-member poll-availability gauges, ingested once
-    /// per round. Backs `/query` and the fleet rule engine. Pure function
-    /// of `(config, rounds)` — every input is modeled state or a
-    /// deterministic poll outcome.
-    tsdb: Tsdb,
-    /// Fleet rule engine (recording rules + the closed-loop alerts).
-    alerts: AlertEngine,
+    /// The federated scrape surface: the supervision trace (member
+    /// lifecycle and poll outcomes), the federated tsdb (the merged modeled
+    /// registry, member burn gauges and per-member poll-availability gauges,
+    /// ingested once per round; a pure function of `(config, rounds)`), the
+    /// fleet rules evaluated over it, and the `sfi_fleet_scrapes_total`
+    /// counters.
+    surface: ScrapeSurface,
     /// Next member id to assign — monotone, never reused, so spawned
     /// members' derived seeds are a pure function of the spawn order.
     next_member_id: u64,
@@ -466,25 +472,15 @@ impl FleetSupervisor {
         let mut reg = Registry::new();
         let meta = FleetMeta::register(&mut reg);
         let mut clock = VirtualClock::new();
-        let mut stream = FlightRecorder::with_retention(cfg.stream_capacity, Retention::PinFaults);
-        let members: Vec<Member> = cfg
-            .members
-            .into_iter()
-            .enumerate()
-            .map(|(i, mcfg)| Member {
-                id: i as u64,
-                engine: ServeEngine::new(mcfg.clone()),
-                cfg: mcfg,
-                state: MemberState::Live,
-                faults: 0,
-                restarts: 0,
-                checkpoint_rounds: 0,
-                dead_lettered_rounds: 0,
-                retire_reason: None,
-            })
-            .collect();
+        let mut surface = ScrapeSurface::new(
+            cfg.stream_capacity,
+            "sfi_fleet_scrapes_total",
+            &["metrics", "snapshot", "trace", "healthz", "fleet", "profile", "alerts", "query"],
+        );
+        let members: Vec<Member> =
+            cfg.members.into_iter().enumerate().map(|(i, m)| Member::new(i as u64, m)).collect();
         for m in &members {
-            stream.record(TraceEvent {
+            surface.stream.record(TraceEvent {
                 tick: clock.now(),
                 core: m.id as u32,
                 sandbox: m.id,
@@ -495,9 +491,8 @@ impl FleetSupervisor {
         }
         reg.set(meta.members_live, members.len() as i64);
         let next_member_id = members.len() as u64;
-        let mut alerts = AlertEngine::new(ALERT_LOG_CAPACITY);
         if let Some(p) = &cfg.alerting {
-            fleet_rules(&mut alerts, p);
+            fleet_rules(&mut surface.alerts, p);
         }
         FleetSupervisor {
             policy: cfg.policy,
@@ -505,7 +500,6 @@ impl FleetSupervisor {
             chaos: cfg.chaos,
             members,
             clock,
-            stream,
             reg,
             meta,
             rounds: 0,
@@ -513,8 +507,7 @@ impl FleetSupervisor {
             failed_polls: 0,
             autoscale: cfg.autoscale,
             alerting: cfg.alerting,
-            tsdb: Tsdb::new(TSDB_WINDOW, TSDB_MAX_SERIES),
-            alerts,
+            surface,
             next_member_id,
             high_streak: 0,
             low_streak: 0,
@@ -538,13 +531,7 @@ impl FleetSupervisor {
                 if self.members[idx].retire_reason == Some(RetireReason::ScaledIn) {
                     continue;
                 }
-                self.members[idx].dead_lettered_rounds += 1;
-                self.reg.inc(self.meta.dead_lettered);
-                self.polls += 1;
-                self.failed_polls += 1;
-                self.reg.inc(self.meta.polls);
-                self.reg.inc(self.meta.poll_failures);
-                poll_ok.push((self.members[idx].id, false));
+                poll_ok.push(self.dead_letter_round(idx));
                 continue;
             }
             // The round's attempt-0 chaos draw decides the member's fate:
@@ -558,14 +545,9 @@ impl FleetSupervisor {
             let member_id = self.members[idx].id;
             let round_tid =
                 crate::shard::trace_id(self.members[idx].cfg.engine.seed ^ 0xF1EE_7000, r);
+            let edge = |start| pack_span(SpanLevel::FleetMember, start, !start, member_id);
             if spans {
-                self.stream.record(TraceEvent {
-                    tick: self.clock.now(),
-                    core: member_id as u32,
-                    sandbox: round_tid,
-                    kind: TraceKind::Flow,
-                    arg: pack_span(SpanLevel::FleetMember, true, false, member_id),
-                });
+                self.record(member_id, round_tid, TraceKind::Flow, edge(true));
             }
             if fault0 == Some(EngineFault::MidRoundPanic) {
                 self.crash_and_recover(idx, r);
@@ -575,13 +557,7 @@ impl FleetSupervisor {
             }
             self.clock.advance(duration_ns);
             if spans {
-                self.stream.record(TraceEvent {
-                    tick: self.clock.now(),
-                    core: member_id as u32,
-                    sandbox: round_tid,
-                    kind: TraceKind::Flow,
-                    arg: pack_span(SpanLevel::FleetMember, false, true, member_id),
-                });
+                self.record(member_id, round_tid, TraceKind::Flow, edge(false));
             }
             if let Some(f) = fault0 {
                 self.note_fault(idx, f);
@@ -591,13 +567,7 @@ impl FleetSupervisor {
             // as a failed poll, not a served one.
             if self.members[idx].faults >= self.policy.max_faults {
                 self.retire(idx, RetireReason::FaultBudget);
-                self.members[idx].dead_lettered_rounds += 1;
-                self.reg.inc(self.meta.dead_lettered);
-                self.polls += 1;
-                self.failed_polls += 1;
-                self.reg.inc(self.meta.polls);
-                self.reg.inc(self.meta.poll_failures);
-                poll_ok.push((self.members[idx].id, false));
+                poll_ok.push(self.dead_letter_round(idx));
             } else {
                 let ok = self.poll_member(idx, r, fault0);
                 poll_ok.push((self.members[idx].id, ok));
@@ -607,6 +577,18 @@ impl FleetSupervisor {
         self.reg.inc(self.meta.rounds);
         self.autoscale_pass();
         self.alert_pass(&poll_ok);
+    }
+
+    /// Books member `idx`'s round as dead-lettered: its work is lost, so it
+    /// counts as a failed poll. Returns the member's poll outcome.
+    fn dead_letter_round(&mut self, idx: usize) -> (u64, bool) {
+        self.members[idx].dead_lettered_rounds += 1;
+        self.reg.inc(self.meta.dead_lettered);
+        self.polls += 1;
+        self.failed_polls += 1;
+        self.reg.inc(self.meta.polls);
+        self.reg.inc(self.meta.poll_failures);
+        (self.members[idx].id, false)
     }
 
     /// Ingests the round into the federated tsdb, evaluates the fleet
@@ -620,29 +602,21 @@ impl FleetSupervisor {
         for m in &self.members {
             merged.merge_labeled_from(m.engine.burn_registry(), "engine", &m.id.to_string());
         }
-        self.tsdb.ingest(round, &merged);
+        self.surface.tsdb.ingest(round, &merged);
         for (id, ok) in poll_ok {
             let key = format!("sfi_fleet_member_availability_permille{{engine=\"{id}\"}}");
-            self.tsdb.store_gauge(&key, round, if *ok { 1000 } else { 0 });
+            self.surface.tsdb.store_gauge(&key, round, if *ok { 1000 } else { 0 });
         }
-        for t in self.alerts.evaluate(round, &mut self.tsdb) {
-            self.stream.record(TraceEvent {
-                tick: self.clock.now(),
-                core: 0,
-                sandbox: t.rule_idx as u64,
-                kind: TraceKind::Alert,
-                arg: t.transition.code(),
-            });
-        }
+        self.surface.evaluate(round, self.clock.now());
         if policy.scale_out_on_burn
-            && self.alerts.is_firing(FLEET_BURN_RULE)
+            && self.surface.alerts.is_firing(FLEET_BURN_RULE)
             && self.members_live() < policy.max_members
         {
             self.scale_out_from(&policy.template, 3);
             self.reg.inc(self.meta.alert_scale_out);
         }
         if policy.quarantine_on_availability {
-            for key in self.alerts.firing_series(MEMBER_AVAILABILITY_RULE) {
+            for key in self.surface.alerts.firing_series(MEMBER_AVAILABILITY_RULE) {
                 if let Some(idx) = self.member_idx_of_series(&key) {
                     if self.members[idx].state == MemberState::Live {
                         self.retire(idx, RetireReason::Quarantined);
@@ -674,8 +648,7 @@ impl FleetSupervisor {
         if live.is_empty() {
             return;
         }
-        let occ = live.iter().map(|i| self.members[*i].engine.occupancy()).sum::<f64>()
-            / live.len() as f64;
+        let occ = self.mean_occupancy();
         let sustain = policy.sustain_rounds.max(1);
         if occ >= policy.high_occupancy {
             self.high_streak += 1;
@@ -713,29 +686,10 @@ impl FleetSupervisor {
     fn scale_out_from(&mut self, template: &ServeConfig, spawn_arg: u64) {
         let id = self.next_member_id;
         self.next_member_id += 1;
-        let mut cfg = template.clone();
-        cfg.engine.seed = crate::serve::round_seed(template.engine.seed, 0x4_0000 + id);
-        cfg.probe.seed = crate::serve::round_seed(template.probe.seed, 0x8_0000 + id);
-        self.members.push(Member {
-            id,
-            engine: ServeEngine::new(cfg.clone()),
-            cfg,
-            state: MemberState::Live,
-            faults: 0,
-            restarts: 0,
-            checkpoint_rounds: 0,
-            dead_lettered_rounds: 0,
-            retire_reason: None,
-        });
+        self.members.push(Member::new(id, member_config(template, id)));
         self.reg.inc(self.meta.scale_out);
         self.reg.set(self.meta.members_live, self.members_live() as i64);
-        self.stream.record(TraceEvent {
-            tick: self.clock.now(),
-            core: id as u32,
-            sandbox: id,
-            kind: TraceKind::Spawn,
-            arg: spawn_arg,
-        });
+        self.record(id, id, TraceKind::Spawn, spawn_arg);
     }
 
     /// Gracefully retires member `idx` (reason `ScaledIn`): it drains off
@@ -775,14 +729,14 @@ impl FleetSupervisor {
         m.engine = fresh;
         if !will_retire {
             self.reg.inc(self.meta.restarts);
-            self.stream.record(TraceEvent {
-                tick: self.clock.now(),
-                core: idx as u32,
-                sandbox: idx as u64,
-                kind: TraceKind::Spawn,
-                arg: 1,
-            });
+            self.record(idx as u64, idx as u64, TraceKind::Spawn, 1);
         }
+    }
+
+    /// Records a supervision event at the current virtual time.
+    fn record(&mut self, core: u64, sandbox: u64, kind: TraceKind, arg: u64) {
+        let tick = self.clock.now();
+        self.surface.stream.record(TraceEvent { tick, core: core as u32, sandbox, kind, arg });
     }
 
     /// Records an injected fault against member `idx` (telemetry + trace;
@@ -791,13 +745,7 @@ impl FleetSupervisor {
         self.members[idx].faults += 1;
         let kind_idx = EngineFault::ALL.iter().position(|f| *f == fault).expect("known kind");
         self.reg.inc(self.meta.faults_by_kind[kind_idx]);
-        self.stream.record(TraceEvent {
-            tick: self.clock.now(),
-            core: idx as u32,
-            sandbox: idx as u64,
-            kind: TraceKind::Trap,
-            arg: kind_idx as u64,
-        });
+        self.record(idx as u64, idx as u64, TraceKind::Trap, kind_idx as u64);
     }
 
     /// Retires member `idx`: frozen at its checkpoint, no more rounds or
@@ -813,19 +761,13 @@ impl FleetSupervisor {
         if reason == RetireReason::FaultBudget {
             self.reg.inc(self.meta.retirements);
         }
-        let live = self.members.iter().filter(|m| m.state == MemberState::Live).count();
-        self.reg.set(self.meta.members_live, live as i64);
-        self.stream.record(TraceEvent {
-            tick: self.clock.now(),
-            core: idx as u32,
-            sandbox: idx as u64,
-            kind: TraceKind::Recycle,
-            arg: match reason {
-                RetireReason::FaultBudget => 1,
-                RetireReason::ScaledIn => 2,
-                RetireReason::Quarantined => 3,
-            },
-        });
+        self.reg.set(self.meta.members_live, self.members_live() as i64);
+        let arg = match reason {
+            RetireReason::FaultBudget => 1,
+            RetireReason::ScaledIn => 2,
+            RetireReason::Quarantined => 3,
+        };
+        self.record(idx as u64, idx as u64, TraceKind::Recycle, arg);
     }
 
     /// The aggregator's poll of member `idx` after round `round`: scrapes
@@ -847,7 +789,7 @@ impl FleetSupervisor {
         // clock; share it through a RefCell — single-threaded, no borrow
         // overlaps at runtime.
         let clock = std::cell::RefCell::new(&mut self.clock);
-        let stream = &mut self.stream;
+        let stream = &mut self.surface.stream;
         let outcome = retry_with(
             &self.retry,
             |backoff_ms| clock.borrow_mut().advance(backoff_ms * 1_000_000),
@@ -897,24 +839,12 @@ impl FleetSupervisor {
         match outcome {
             Ok(((), attempts)) => {
                 self.reg.add(self.meta.poll_attempts, attempts as u64);
-                self.stream.record(TraceEvent {
-                    tick: self.clock.now(),
-                    core: idx as u32,
-                    sandbox: member_id,
-                    kind: TraceKind::Exit,
-                    arg: attempts as u64,
-                });
+                self.record(idx as u64, member_id, TraceKind::Exit, attempts as u64);
                 // A poll that needed retries recovered within budget: the
                 // member is back — the quarantine ladder's "rehabilitated"
                 // rung, one level up.
                 if attempts > 1 {
-                    self.stream.record(TraceEvent {
-                        tick: self.clock.now(),
-                        core: idx as u32,
-                        sandbox: member_id,
-                        kind: TraceKind::Recycle,
-                        arg: 0,
-                    });
+                    self.record(idx as u64, member_id, TraceKind::Recycle, 0);
                 }
                 true
             }
@@ -937,9 +867,11 @@ impl FleetSupervisor {
         &self.clock
     }
 
-    /// The supervision trace stream.
-    pub fn stream(&self) -> &FlightRecorder {
-        &self.stream
+    /// The federated scrape surface: the supervision trace stream, the
+    /// federated tsdb and the fleet rules, and the `/trace`, `/alerts` and
+    /// `/query` bodies.
+    pub fn surface(&self) -> &ScrapeSurface {
+        &self.surface
     }
 
     /// Fleet availability: the fraction of member-rounds whose poll
@@ -1001,36 +933,18 @@ impl FleetSupervisor {
     }
 
     /// `/metrics`: Prometheus text of the federated modeled registry plus
-    /// the fleet meta registry.
+    /// the fleet meta registry, the scrape counters and the rules' derived
+    /// series.
     pub fn metrics_text(&self) -> String {
-        let mut merged = self.merged_registry();
-        merged.merge_from(&self.reg);
-        merged.merge_from(self.alerts.derived());
-        prometheus_text(&merged)
+        let mut series = self.merged_registry();
+        series.merge_from(&self.reg);
+        self.surface.metrics_text(series)
     }
 
-    /// The federated time-series store behind `/query` and the fleet rules.
+    /// The federated time-series store behind `/query` and the fleet rules
+    /// (the same as `surface().tsdb()`).
     pub fn tsdb(&self) -> &Tsdb {
-        &self.tsdb
-    }
-
-    /// The fleet rule engine behind `/alerts`.
-    pub fn alerts(&self) -> &AlertEngine {
-        &self.alerts
-    }
-
-    /// `/alerts?since=<cursor>`: the fleet alert states and transition log
-    /// — byte-identical across replays, checkpoint recovery included.
-    pub fn alerts_body(&self, since: u64) -> String {
-        let mut body = self.alerts.alerts_json(since);
-        body.push('\n');
-        body
-    }
-
-    /// `/query?expr=<urlencoded>`: one tsdb query over the federated store.
-    pub fn query_body(&self, expr: &str) -> Result<String, String> {
-        let rows = self.tsdb.query(expr)?;
-        Ok(render_query(expr, self.tsdb.last_round(), &rows))
+        &self.surface.tsdb
     }
 
     /// `/snapshot`: the federated modeled registry as JSON — equal to the
@@ -1093,11 +1007,8 @@ impl FleetSupervisor {
             }
             exemplars.merge_from(m.engine.exemplars());
         }
-        let lines: Vec<String> = folded
-            .render()
-            .lines()
-            .map(|l| format!("\"{}\"", l.replace('\\', "\\\\").replace('"', "\\\"")))
-            .collect();
+        let lines: Vec<String> =
+            folded.render().lines().map(|l| format!("\"{}\"", json_escape(l))).collect();
         format!(
             "{{\"rounds\": {}, \"members\": {}, \"folded\": [{}], \"exemplars\": {}}}\n",
             self.rounds,
@@ -1105,35 +1016,6 @@ impl FleetSupervisor {
             lines.join(", "),
             exemplars.render_json(),
         )
-    }
-
-    /// `/trace?since=<cursor>`: the supervision stream, same wire shape as
-    /// the per-engine endpoint (metadata line + chrome-trace lines, gap
-    /// marker when events were lost).
-    pub fn trace_body(&self, since: u64) -> String {
-        let d = self.stream.events_since(since);
-        let mut lines = Vec::with_capacity(d.events.len() + 1);
-        if d.dropped > 0 {
-            let next_tick = d.events.first().map_or(0, |e| e.tick);
-            lines.push(chrome_trace_gap_line(d.dropped, next_tick, NS_PER_TICK));
-        }
-        lines.extend(chrome_trace_lines(&d.events, NS_PER_TICK));
-        let mut body = format!(
-            "{{\"next\": {}, \"dropped\": {}, \"lines\": {}}}\n",
-            d.next,
-            d.dropped,
-            lines.len()
-        );
-        for l in &lines {
-            body.push_str(l);
-            body.push('\n');
-        }
-        body
-    }
-
-    /// The post-mortem batch export of the supervision stream.
-    pub fn trace_batch(&self) -> String {
-        chrome_trace(&self.stream.events(), NS_PER_TICK)
     }
 
     /// `/healthz`: fleet availability and liveness. `uptime_seconds` is the
@@ -1160,84 +1042,33 @@ impl FleetSupervisor {
         )
     }
 
-    /// Dispatches one request against the federated surface. GET only;
+    /// Dispatches one request through the shared route table. GET only;
     /// `/quit` answers then stops the accept loop.
     pub fn route(&mut self, req: &HttpRequest, uptime_seconds: f64) -> (HttpResponse, bool) {
-        if req.method != "GET" {
-            return (HttpResponse::method_not_allowed(), false);
-        }
-        match req.path.as_str() {
-            "/metrics" => {
-                self.reg.inc(self.meta.scrapes[0]);
-                (HttpResponse::prometheus(self.metrics_text()), false)
-            }
-            "/snapshot" => {
-                self.reg.inc(self.meta.scrapes[1]);
-                (HttpResponse::json(self.snapshot_json()), false)
-            }
-            "/trace" => {
-                self.reg.inc(self.meta.scrapes[2]);
-                match req.cursor("since") {
-                    Cursor::Absent => (HttpResponse::json(self.trace_body(0)), false),
-                    Cursor::At(since) => (HttpResponse::json(self.trace_body(since)), false),
-                    Cursor::Malformed => (HttpResponse::bad_request("malformed since cursor"), false),
-                }
-            }
-            "/healthz" => {
-                self.reg.inc(self.meta.scrapes[3]);
-                if self.members_live() == 0 {
-                    return (HttpResponse::service_unavailable("no live members"), false);
-                }
-                (HttpResponse::json(self.healthz_body(uptime_seconds)), false)
-            }
-            "/fleet" => {
-                self.reg.inc(self.meta.scrapes[4]);
-                (HttpResponse::json(self.fleet_json()), false)
-            }
-            "/profile" => {
-                self.reg.inc(self.meta.scrapes[5]);
-                (HttpResponse::json(self.profile_body()), false)
-            }
-            "/alerts" => {
-                self.reg.inc(self.meta.scrapes[6]);
-                match req.cursor("since") {
-                    Cursor::Absent => (HttpResponse::json(self.alerts_body(0)), false),
-                    Cursor::At(since) => (HttpResponse::json(self.alerts_body(since)), false),
-                    Cursor::Malformed => (HttpResponse::bad_request("malformed since cursor"), false),
-                }
-            }
-            "/query" => {
-                self.reg.inc(self.meta.scrapes[7]);
-                let Some(raw) = req.query_str("expr") else {
-                    return (HttpResponse::bad_request("missing expr parameter"), false);
-                };
-                let Some(expr) = percent_decode(raw) else {
-                    return (HttpResponse::bad_request("malformed percent-encoding"), false);
-                };
-                match self.query_body(&expr) {
-                    Ok(body) => (HttpResponse::json(body), false),
-                    Err(e) => (HttpResponse::bad_request(&e), false),
-                }
-            }
-            "/quit" => (HttpResponse::ok("text/plain", "bye\n".to_owned()), true),
-            _ => (HttpResponse::not_found(), false),
-        }
+        route(self, req, uptime_seconds)
     }
 }
 
-/// Runs the blocking accept loop for a shared fleet: each request locks the
-/// supervisor, routes, answers. Returns when `/quit` is served. A poisoned
-/// lock (a driver thread that panicked mid-round) is recovered, not
-/// propagated — the scrape surface must outlive member crashes.
-pub fn fleet_serve_blocking(
-    listener: &TcpListener,
-    fleet: &Mutex<FleetSupervisor>,
-    started: Instant,
-) -> std::io::Result<()> {
-    sfi_telemetry::serve(listener, |req| {
-        let mut sup = fleet.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        sup.route(req, started.elapsed().as_secs_f64())
-    })
+impl ScrapeOwner for FleetSupervisor {
+    fn surface_mut(&mut self) -> &mut ScrapeSurface {
+        &mut self.surface
+    }
+
+    /// `/healthz` answers 503 once no member is live (the scrape still
+    /// counts); `/fleet` is the one endpoint only the fleet lists.
+    fn respond(&self, endpoint: &str, uptime_seconds: f64) -> HttpResponse {
+        match endpoint {
+            "metrics" => HttpResponse::prometheus(self.metrics_text()),
+            "snapshot" => HttpResponse::json(self.snapshot_json()),
+            "profile" => HttpResponse::json(self.profile_body()),
+            "healthz" if self.members_live() == 0 => {
+                HttpResponse::service_unavailable("no live members")
+            }
+            "healthz" => HttpResponse::json(self.healthz_body(uptime_seconds)),
+            "fleet" => HttpResponse::json(self.fleet_json()),
+            _ => HttpResponse::not_found(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1296,6 +1127,7 @@ mod tests {
 
         // The supervision stream roots each member round as a level-0 span.
         let roots: Vec<_> = fleet
+            .surface()
             .stream()
             .events()
             .iter()
@@ -1497,7 +1329,11 @@ mod tests {
         replay.run_round();
         replay.run_round();
         assert_eq!(replay.clock().now(), fleet.clock().now());
-        assert_eq!(replay.trace_batch(), fleet.trace_batch(), "recovery trace not reproducible");
+        assert_eq!(
+            replay.surface().trace_batch(),
+            fleet.surface().trace_batch(),
+            "recovery trace not reproducible"
+        );
     }
 
     #[test]
@@ -1635,8 +1471,8 @@ mod tests {
                 fleet.run_round();
             }
             // The burn alert fired and drove surge scale-out to the cap.
-            assert!(fleet.alerts().next_seq() > 0, "no alert transitions at 2.5× load");
-            let alerts = fleet.alerts_body(0);
+            assert!(fleet.surface().alerts().next_seq() > 0, "no alert transitions at 2.5× load");
+            let alerts = fleet.surface().alerts_body(0);
             assert!(alerts.contains(&format!("\"rule\": \"{FLEET_BURN_RULE}\"")), "{alerts}");
             assert!(alerts.contains("\"transition\": \"firing\""), "{alerts}");
             assert_eq!(fleet.members_live(), 3, "burn alert did not scale out");
@@ -1647,6 +1483,7 @@ mod tests {
             assert!(!fleet.snapshot_json().contains("sfi_fleet_goodput_permille"));
             // The federated store answers queries over member burn series.
             let q = fleet
+                .surface()
                 .query_body("avg_over_time(sfi_qos_slo_burn_permille{class=\"latency_sensitive\"}[2r])")
                 .unwrap();
             assert!(q.contains("engine=\\\"0\\\""), "{q}");
@@ -1660,7 +1497,7 @@ mod tests {
                 crashed.run_round();
             }
             assert_eq!(crashed.members()[0].restarts, 1, "the crash really happened");
-            assert_eq!(crashed.alerts_body(0), alerts, "crash bent the alert timeline");
+            assert_eq!(crashed.surface().alerts_body(0), alerts, "crash bent the alert timeline");
             assert_eq!(crashed.snapshot_json(), fleet.snapshot_json());
             // The supervision ledger records the crash (faults, restarts)
             // but the size trajectory is identical.
@@ -1696,7 +1533,7 @@ mod tests {
         assert_eq!(status[1].retire_reason, Some(RetireReason::Quarantined));
         assert_eq!(status[0].state, MemberState::Live);
         assert_eq!(status[0].retire_reason, None);
-        let alerts = fleet.alerts_body(0);
+        let alerts = fleet.surface().alerts_body(0);
         assert!(
             alerts.contains(&format!("\"rule\": \"{MEMBER_AVAILABILITY_RULE}\"")),
             "{alerts}"
@@ -1711,8 +1548,8 @@ mod tests {
         for _ in 0..6 {
             again.run_round();
         }
-        assert_eq!(again.alerts_body(0), alerts);
-        assert_eq!(again.trace_batch(), fleet.trace_batch());
+        assert_eq!(again.surface().alerts_body(0), alerts);
+        assert_eq!(again.surface().trace_batch(), fleet.surface().trace_batch());
         assert_eq!(again.fleet_json(), fleet.fleet_json());
     }
 

@@ -40,16 +40,16 @@ mod fleet;
 mod serve;
 mod shard;
 mod sim;
+mod surface;
 
 pub use fleet::{
-    fleet_serve_blocking, AutoscalePolicy, FleetAlertPolicy, FleetConfig, FleetSupervisor,
-    MemberState, MemberStatus, RetireReason, FLEET_BURN_RULE, MEMBER_AVAILABILITY_RULE,
+    AutoscalePolicy, FleetAlertPolicy, FleetConfig, FleetSupervisor, MemberState, MemberStatus,
+    RetireReason, FLEET_BURN_RULE, MEMBER_AVAILABILITY_RULE,
 };
 pub use qos::{ClassReport, QosConfig, QosReport, SloClass};
 pub use serve::{
-    default_qos_rules, flatten_traces, render_query, round_seed, serve_blocking, ServeConfig,
-    ServeEngine, ALERT_LOG_CAPACITY, BURN_ALERT_THRESHOLD, NS_PER_TICK, SHED_ALERT_THRESHOLD,
-    TSDB_MAX_SERIES, TSDB_WINDOW,
+    default_qos_rules, flatten_traces, round_seed, ServeConfig, ServeEngine, ALERT_LOG_CAPACITY,
+    BURN_ALERT_THRESHOLD, NS_PER_TICK, SHED_ALERT_THRESHOLD, TSDB_MAX_SERIES, TSDB_WINDOW,
 };
 pub use shard::{
     multicore_sweep_json, overload_sweep_json, simulate_multicore, trace_id, CacheMode,
@@ -59,3 +59,4 @@ pub use sim::{
     sim_registry, simulate, throughput_gain_percent, ArrivalModel, ArrivalPhase, FaasWorkload,
     FailureModel, ScalingMode, SimConfig, SimCosts, SimReport,
 };
+pub use surface::{serve_blocking, ScrapeSurface};

@@ -10,7 +10,9 @@
 //! registry into one cumulative modeled registry, and appends the round's
 //! flight-recorder events — restamped onto one continuous virtual
 //! timeline — into a single cumulative stream recorder that scrapers drain
-//! with cursors.
+//! with cursors. Requests are answered by the route table and accept loop
+//! the fleet shares ([`crate::surface`]); this module supplies only the
+//! engine's own `/metrics`, `/snapshot`, `/profile` and `/healthz` bodies.
 //!
 //! The determinism contract survives serving (DESIGN.md §8):
 //!
@@ -27,20 +29,16 @@
 //! [`FailureModel`](crate::FailureModel)-bearing single-core probe
 //! simulation run alongside each round.
 
-use std::net::TcpListener;
-use std::sync::Mutex;
-use std::time::Instant;
-
 use sfi_telemetry::{
-    chrome_trace, chrome_trace_gap_line, chrome_trace_lines, json_snapshot, pack_span,
-    prometheus_text, AlertEngine, AlertRule, BucketExemplars, CompareOp, CounterId, Cursor,
-    FlightRecorder, FoldedStacks, GaugeId, HttpRequest, HttpResponse, RecordingRule, Registry,
-    Retention, RuleSource, SpanLevel, TraceEvent, TraceKind, Tsdb,
+    json_escape, json_snapshot, pack_span, AlertEngine, AlertRule, BucketExemplars, CompareOp,
+    FoldedStacks, GaugeId, HttpRequest, HttpResponse, RecordingRule, Registry, RuleSource,
+    SpanLevel, TraceEvent, TraceKind,
 };
 
 use crate::qos::SloClass;
 use crate::shard::{simulate_multicore, trace_id, CacheMode, MultiCoreConfig, MultiCoreReport};
 use crate::sim::{simulate, FailureModel, ScalingMode, SimConfig};
+use crate::surface::{route, ScrapeOwner, ScrapeSurface};
 use crate::FaasWorkload;
 
 /// The faas rig's virtual ticks are simulated nanoseconds.
@@ -149,21 +147,6 @@ pub fn round_seed(base: u64, round: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Renders one `/query` evaluation as deterministic JSON — shared by the
-/// per-engine and fleet scrape surfaces.
-pub fn render_query(expr: &str, round: u64, rows: &[(String, f64)]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut body = format!("{{\"expr\": \"{}\", \"round\": {round}, \"results\": [", esc(expr));
-    for (i, (key, value)) in rows.iter().enumerate() {
-        if i > 0 {
-            body.push_str(", ");
-        }
-        body.push_str(&format!("{{\"series\": \"{}\", \"value\": {:.6}}}", esc(key), value));
-    }
-    body.push_str("]}\n");
-    body
-}
-
 /// Flattens per-core flight-recorder dumps onto one timeline: cores are
 /// chained in index order, then stably sorted by tick — ties keep core
 /// order, so the result is deterministic.
@@ -183,8 +166,6 @@ pub struct ServeEngine {
     /// Cumulative modeled registry (merge of every round's report
     /// registry). This — and nothing else — backs `/snapshot`.
     registry: Registry,
-    /// Cumulative event stream on the continuous timeline.
-    stream: FlightRecorder,
     /// Poisoned instances quarantined+recycled by the health probe so far.
     quarantined: u64,
     /// Probe requests dead-lettered so far.
@@ -195,10 +176,6 @@ pub struct ServeEngine {
     /// round). Modeled state: a pure function of `(config, rounds)`, which
     /// is what lets autoscale decisions replay byte-identically.
     occupancy: f64,
-    /// Scrape bookkeeping: merged into `/metrics` output only, never into
-    /// `/snapshot`, so serving has zero observer effect on modeled series.
-    meta: Registry,
-    scrapes: [CounterId; 7],
     /// Cumulative per-bucket latency exemplars (populated only when the
     /// engine config enables spans), served via `/profile`.
     exemplars: BucketExemplars,
@@ -209,30 +186,28 @@ pub struct ServeEngine {
     /// accumulate across rounds instead of tracking the current burn.
     burn: Registry,
     burn_ids: Option<[GaugeId; 3]>,
-    /// Bounded in-memory time-series store over the modeled and burn
-    /// registries, ingested once per round. Backs `/query` and the rule
-    /// engine; a pure function of `(config, rounds)` like everything else
-    /// modeled, so crash recovery replays it byte-identically.
-    tsdb: Tsdb,
-    /// Recording + alert rules evaluated once per round over the tsdb.
-    /// Its derived registry rides `/metrics` only, never `/snapshot`.
-    alerts: AlertEngine,
+    /// The scrape surface: the cumulative event stream on the continuous
+    /// timeline, the tsdb over the modeled and burn registries (ingested
+    /// once per round), the rules evaluated over it, and the
+    /// `sfi_serve_scrapes_total` counters.
+    surface: ScrapeSurface,
 }
 
 impl ServeEngine {
     /// A fresh engine; no rounds run yet. The stream recorder keeps fault
-    /// events in a ring of their own ([`Retention::PinFaults`]): enter/exit
-    /// chatter never ages out the traps and quarantine recycles a
-    /// post-mortem needs, and the newest `stream_capacity` of those are
-    /// kept, so a long-serving engine's memory stays bounded.
+    /// events in a ring of their own
+    /// ([`sfi_telemetry::Retention::PinFaults`]): enter/exit chatter never
+    /// ages out the traps and quarantine recycles a post-mortem needs, and
+    /// the newest `stream_capacity` of those are kept, so a long-serving
+    /// engine's memory stays bounded.
     pub fn new(cfg: ServeConfig) -> ServeEngine {
-        let stream = FlightRecorder::with_retention(cfg.stream_capacity, Retention::PinFaults);
-        let mut meta = Registry::new();
-        let scrapes = ["metrics", "snapshot", "trace", "healthz", "profile", "alerts", "query"]
-            .map(|ep| meta.counter_with("sfi_serve_scrapes_total", &[("endpoint", ep)]));
-        let mut alerts = AlertEngine::new(ALERT_LOG_CAPACITY);
+        let mut surface = ScrapeSurface::new(
+            cfg.stream_capacity,
+            "sfi_serve_scrapes_total",
+            &["metrics", "snapshot", "trace", "healthz", "profile", "alerts", "query"],
+        );
         if cfg.engine.qos.is_some() {
-            default_qos_rules(&mut alerts);
+            default_qos_rules(&mut surface.alerts);
         }
         let mut burn = Registry::new();
         let burn_ids = cfg.engine.qos.as_ref().map(|_| {
@@ -245,18 +220,14 @@ impl ServeEngine {
             cfg,
             rounds: 0,
             registry: Registry::new(),
-            stream,
             quarantined: 0,
             dead_lettered: 0,
             availability: 1.0,
             occupancy: 0.0,
-            meta,
-            scrapes,
             exemplars: BucketExemplars::new(),
             burn,
             burn_ids,
-            tsdb: Tsdb::new(TSDB_WINDOW, TSDB_MAX_SERIES),
-            alerts,
+            surface,
         }
     }
 
@@ -275,7 +246,7 @@ impl ServeEngine {
         // requests' queue-wait/admission/invoke edges on the timeline.
         let round_tid = trace_id(self.cfg.engine.seed ^ 0x0E11_6120, self.rounds);
         if self.cfg.engine.spans {
-            self.stream.record(TraceEvent {
+            self.surface.stream.record(TraceEvent {
                 tick: offset,
                 core: 0,
                 sandbox: round_tid,
@@ -284,10 +255,10 @@ impl ServeEngine {
             });
         }
         for ev in flatten_traces(&report.traces) {
-            self.stream.record(TraceEvent { tick: ev.tick + offset, ..ev });
+            self.surface.stream.record(TraceEvent { tick: ev.tick + offset, ..ev });
         }
         if self.cfg.engine.spans {
-            self.stream.record(TraceEvent {
+            self.surface.stream.record(TraceEvent {
                 tick: offset + self.cfg.engine.duration_ms * 1_000_000,
                 core: 0,
                 sandbox: round_tid,
@@ -304,22 +275,12 @@ impl ServeEngine {
         self.occupancy = report.occupancy;
         self.rounds += 1;
         self.update_burn();
-        // Ingest this round's cumulative levels, then evaluate the rules.
-        // Each transition is mirrored into the stream as a `TraceKind::Alert`
-        // event at the round's closing tick (sandbox = rule index, arg =
-        // transition code) so alert history shows up on the trace timeline.
-        self.tsdb.ingest(self.rounds, &self.registry);
-        self.tsdb.ingest(self.rounds, &self.burn);
+        // Ingest this round's cumulative levels, then evaluate the rules;
+        // transitions land on the stream at the round's closing tick.
+        self.surface.tsdb.ingest(self.rounds, &self.registry);
+        self.surface.tsdb.ingest(self.rounds, &self.burn);
         let end_tick = self.rounds * self.cfg.engine.duration_ms * 1_000_000;
-        for t in self.alerts.evaluate(self.rounds, &mut self.tsdb) {
-            self.stream.record(TraceEvent {
-                tick: end_tick,
-                core: 0,
-                sandbox: t.rule_idx as u64,
-                kind: TraceKind::Alert,
-                arg: t.transition.code(),
-            });
-        }
+        self.surface.evaluate(self.rounds, end_tick);
         report
     }
 
@@ -362,9 +323,10 @@ impl ServeEngine {
         &self.registry
     }
 
-    /// The cumulative event stream.
-    pub fn stream(&self) -> &FlightRecorder {
-        &self.stream
+    /// The scrape surface: the cumulative event stream, the tsdb and the
+    /// rules, and the `/trace`, `/alerts` and `/query` bodies.
+    pub fn surface(&self) -> &ScrapeSurface {
+        &self.surface
     }
 
     /// The cumulative per-bucket latency exemplars (empty unless the engine
@@ -373,42 +335,12 @@ impl ServeEngine {
         &self.exemplars
     }
 
-    /// `/metrics`: Prometheus text of the modeled registry plus the serve
-    /// meta registry (scrape counters).
+    /// `/metrics`: Prometheus text of the modeled registry and the burn
+    /// gauges, plus the scrape counters and the rules' derived series.
     pub fn metrics_text(&self) -> String {
-        let mut merged = self.registry.clone();
-        merged.merge_from(&self.meta);
-        merged.merge_from(&self.burn);
-        merged.merge_from(self.alerts.derived());
-        prometheus_text(&merged)
-    }
-
-    /// The in-memory time-series store behind `/query` and the rule engine.
-    pub fn tsdb(&self) -> &Tsdb {
-        &self.tsdb
-    }
-
-    /// The rule engine behind `/alerts`.
-    pub fn alerts(&self) -> &AlertEngine {
-        &self.alerts
-    }
-
-    /// `/alerts?since=<cursor>`: active alert states plus the logged
-    /// transitions at or after `since` — deterministic JSON, byte-identical
-    /// across replays of the same `(config, rounds)`.
-    pub fn alerts_body(&self, since: u64) -> String {
-        let mut body = self.alerts.alerts_json(since);
-        body.push('\n');
-        body
-    }
-
-    /// `/query?expr=<urlencoded>`: evaluates one tsdb query expression
-    /// (`sel`, `rate(sel[Nr])`, `increase(sel[Nr])`, `avg_over_time`,
-    /// `max_over_time`) against the retained window. `Err` carries the
-    /// parse error for the 400 body.
-    pub fn query_body(&self, expr: &str) -> Result<String, String> {
-        let rows = self.tsdb.query(expr)?;
-        Ok(render_query(expr, self.tsdb.last_round(), &rows))
+        let mut series = self.registry.clone();
+        series.merge_from(&self.burn);
+        self.surface.metrics_text(series)
     }
 
     /// The per-class SLO burn gauge registry (empty without QoS). Exposed
@@ -440,11 +372,8 @@ impl ServeEngine {
     /// Deterministic: a pure function of `(config, rounds run)`.
     pub fn profile_body(&self) -> String {
         let folded = self.profile_folded();
-        let lines: Vec<String> = folded
-            .render()
-            .lines()
-            .map(|l| format!("\"{}\"", l.replace('\\', "\\\\").replace('"', "\\\"")))
-            .collect();
+        let lines: Vec<String> =
+            folded.render().lines().map(|l| format!("\"{}\"", json_escape(l))).collect();
         let mut body = format!(
             "{{\"rounds\": {}, \"folded\": [{}], \"exemplars\": {}",
             self.rounds,
@@ -477,42 +406,6 @@ impl ServeEngine {
         json_snapshot(&self.registry)
     }
 
-    /// `/trace?since=<cursor>`: a metadata line (`next` cursor, events
-    /// `dropped` before the cursor, line count) followed by one
-    /// chrome-trace event line per `\n`. A client that concatenates the
-    /// lines from successive drains and wraps them with
-    /// [`sfi_telemetry::chrome_trace_wrap`] reproduces
-    /// [`ServeEngine::trace_batch`] byte-for-byte. A drain that observed
-    /// `dropped > 0` leads with a `trace_gap` marker line
-    /// ([`chrome_trace_gap_line`]) so the re-wrapped document both stays
-    /// valid JSON and shows the gap on the timeline.
-    pub fn trace_body(&self, since: u64) -> String {
-        let d = self.stream.events_since(since);
-        let mut lines = Vec::with_capacity(d.events.len() + 1);
-        if d.dropped > 0 {
-            let next_tick = d.events.first().map_or(0, |e| e.tick);
-            lines.push(chrome_trace_gap_line(d.dropped, next_tick, NS_PER_TICK));
-        }
-        lines.extend(chrome_trace_lines(&d.events, NS_PER_TICK));
-        let mut body = format!(
-            "{{\"next\": {}, \"dropped\": {}, \"lines\": {}}}\n",
-            d.next,
-            d.dropped,
-            lines.len()
-        );
-        for l in &lines {
-            body.push_str(l);
-            body.push('\n');
-        }
-        body
-    }
-
-    /// The post-mortem batch export of the full retained stream — the
-    /// byte-identity reference for incremental `/trace` drains.
-    pub fn trace_batch(&self) -> String {
-        chrome_trace(&self.stream.events(), NS_PER_TICK)
-    }
-
     /// `/healthz`: availability and quarantine state from the failure-model
     /// probe. `uptime_seconds` is the one place wall time is allowed.
     pub fn healthz_body(&self, uptime_seconds: f64) -> String {
@@ -525,77 +418,28 @@ impl ServeEngine {
         )
     }
 
-    /// Dispatches one request. Returns the response plus the stop flag
-    /// (`/quit` answers then stops the accept loop — the clean shutdown
-    /// path CI exercises). GET only.
+    /// Dispatches one request through the shared route table. Returns the
+    /// response plus the stop flag (`/quit` answers then stops the accept
+    /// loop — the clean shutdown path CI exercises). GET only.
     pub fn route(&mut self, req: &HttpRequest, uptime_seconds: f64) -> (HttpResponse, bool) {
-        if req.method != "GET" {
-            return (HttpResponse::method_not_allowed(), false);
-        }
-        match req.path.as_str() {
-            "/metrics" => {
-                self.meta.inc(self.scrapes[0]);
-                (HttpResponse::prometheus(self.metrics_text()), false)
-            }
-            "/snapshot" => {
-                self.meta.inc(self.scrapes[1]);
-                (HttpResponse::json(self.snapshot_json()), false)
-            }
-            "/trace" => {
-                self.meta.inc(self.scrapes[2]);
-                match req.cursor("since") {
-                    Cursor::Absent => (HttpResponse::json(self.trace_body(0)), false),
-                    Cursor::At(since) => (HttpResponse::json(self.trace_body(since)), false),
-                    Cursor::Malformed => (HttpResponse::bad_request("malformed since cursor"), false),
-                }
-            }
-            "/healthz" => {
-                self.meta.inc(self.scrapes[3]);
-                (HttpResponse::json(self.healthz_body(uptime_seconds)), false)
-            }
-            "/profile" => {
-                self.meta.inc(self.scrapes[4]);
-                (HttpResponse::json(self.profile_body()), false)
-            }
-            "/alerts" => {
-                self.meta.inc(self.scrapes[5]);
-                match req.cursor("since") {
-                    Cursor::Absent => (HttpResponse::json(self.alerts_body(0)), false),
-                    Cursor::At(since) => (HttpResponse::json(self.alerts_body(since)), false),
-                    Cursor::Malformed => (HttpResponse::bad_request("malformed since cursor"), false),
-                }
-            }
-            "/query" => {
-                self.meta.inc(self.scrapes[6]);
-                let Some(raw) = req.query_str("expr") else {
-                    return (HttpResponse::bad_request("missing expr parameter"), false);
-                };
-                let Some(expr) = sfi_telemetry::percent_decode(raw) else {
-                    return (HttpResponse::bad_request("malformed percent-encoding"), false);
-                };
-                match self.query_body(&expr) {
-                    Ok(body) => (HttpResponse::json(body), false),
-                    Err(e) => (HttpResponse::bad_request(&e), false),
-                }
-            }
-            "/quit" => (HttpResponse::ok("text/plain", "bye\n".to_owned()), true),
-            _ => (HttpResponse::not_found(), false),
-        }
+        route(self, req, uptime_seconds)
     }
 }
 
-/// Runs the blocking accept loop for a shared engine: each request locks
-/// the engine, routes, answers. Returns when `/quit` is served. `started`
-/// anchors the `/healthz` uptime (the only wall-clock reading).
-pub fn serve_blocking(
-    listener: &TcpListener,
-    engine: &Mutex<ServeEngine>,
-    started: Instant,
-) -> std::io::Result<()> {
-    sfi_telemetry::serve(listener, |req| {
-        let mut eng = engine.lock().expect("engine lock");
-        eng.route(req, started.elapsed().as_secs_f64())
-    })
+impl ScrapeOwner for ServeEngine {
+    fn surface_mut(&mut self) -> &mut ScrapeSurface {
+        &mut self.surface
+    }
+
+    fn respond(&self, endpoint: &str, uptime_seconds: f64) -> HttpResponse {
+        match endpoint {
+            "metrics" => HttpResponse::prometheus(self.metrics_text()),
+            "snapshot" => HttpResponse::json(self.snapshot_json()),
+            "profile" => HttpResponse::json(self.profile_body()),
+            "healthz" => HttpResponse::json(self.healthz_body(uptime_seconds)),
+            _ => HttpResponse::not_found(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -619,10 +463,10 @@ mod tests {
                 // Scraping between rounds must not perturb anything modeled.
                 for _ in 0..scrapes {
                     let _ = eng.metrics_text();
-                    let _ = eng.trace_body(0);
+                    let _ = eng.surface().trace_body(0);
                 }
             }
-            (eng.snapshot_json(), eng.trace_batch())
+            (eng.snapshot_json(), eng.surface().trace_batch())
         };
         let (snap_quiet, trace_quiet) = run(0);
         let (snap_scraped, trace_scraped) = run(5);
@@ -639,7 +483,7 @@ mod tests {
         let mut lines: Vec<String> = Vec::new();
         for _ in 0..3 {
             eng.run_round();
-            let body = eng.trace_body(cursor);
+            let body = eng.surface().trace_body(cursor);
             let mut it = body.lines();
             let head = it.next().unwrap();
             assert!(head.contains("\"dropped\": 0"), "{head}");
@@ -648,10 +492,10 @@ mod tests {
             cursor = next_str.parse().unwrap();
             lines.extend(it.map(str::to_owned));
         }
-        assert_eq!(cursor, eng.stream().total_recorded());
-        assert_eq!(chrome_trace_wrap(&lines), eng.trace_batch());
+        assert_eq!(cursor, eng.surface().stream().total_recorded());
+        assert_eq!(chrome_trace_wrap(&lines), eng.surface().trace_batch());
         // A fully drained cursor yields an empty incremental body.
-        let empty = eng.trace_body(cursor);
+        let empty = eng.surface().trace_body(cursor);
         assert!(empty.contains("\"lines\": 0"), "{empty}");
     }
 
@@ -660,7 +504,7 @@ mod tests {
         let mut eng = ServeEngine::new(small_cfg());
         eng.run_round();
         eng.run_round();
-        let events = eng.stream().events();
+        let events = eng.surface().stream().events();
         assert!(!events.is_empty());
         assert!(events.windows(2).all(|w| w[0].tick <= w[1].tick), "ticks regressed");
         let round_ns = 20 * 1_000_000;
@@ -696,6 +540,7 @@ mod tests {
 
         // Each round brackets its requests with a level-1 engine-round span.
         let rounds: Vec<_> = eng
+            .surface()
             .stream()
             .events()
             .iter()
@@ -704,7 +549,7 @@ mod tests {
             .filter(|s| s.level == SpanLevel::EngineRound)
             .collect();
         assert_eq!(rounds.len(), 4, "2 rounds × (start + end)");
-        assert!(eng.stream().events().iter().any(|e| {
+        assert!(eng.surface().stream().events().iter().any(|e| {
             e.kind == TraceKind::Flow
                 && unpack_span(e.arg).is_some_and(|s| s.level == SpanLevel::Invoke)
         }));
@@ -742,10 +587,10 @@ mod tests {
 
         // The store saw the modeled registry: counters, burn gauges, and
         // the goodput recording-rule outputs are all queryable.
-        assert!(eng.tsdb().series_count() > 0);
-        let burn = eng.query_body("sfi_qos_slo_burn_permille").unwrap();
+        assert!(eng.surface().tsdb().series_count() > 0);
+        let burn = eng.surface().query_body("sfi_qos_slo_burn_permille").unwrap();
         assert!(burn.contains("latency_sensitive"), "{burn}");
-        let good = eng.query_body("sfi_qos_goodput_permille").unwrap();
+        let good = eng.surface().query_body("sfi_qos_goodput_permille").unwrap();
         assert!(good.contains("\"results\": [{"), "{good}");
 
         let (resp, _) = eng.route(&HttpRequest::parse("GET /alerts HTTP/1.1").unwrap(), 0.0);
@@ -782,11 +627,11 @@ mod tests {
             for _ in 0..3 {
                 eng.run_round();
                 for _ in 0..scrapes {
-                    let _ = eng.alerts_body(0);
-                    let _ = eng.query_body("sfi_qos_slo_burn_permille").unwrap();
+                    let _ = eng.surface().alerts_body(0);
+                    let _ = eng.surface().query_body("sfi_qos_slo_burn_permille").unwrap();
                 }
             }
-            (eng.alerts_body(0), eng.snapshot_json(), eng.trace_batch())
+            (eng.surface().alerts_body(0), eng.snapshot_json(), eng.surface().trace_batch())
         };
         assert_eq!(rebuild(0), rebuild(4), "alert scrapes perturbed modeled state");
     }

@@ -36,6 +36,7 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
+use crate::export::json_escape;
 use crate::registry::{GaugeId, Registry};
 use crate::tsdb::Tsdb;
 
@@ -504,20 +505,6 @@ fn series_key(name: &str, labels: &[(&'static str, &str)]) -> String {
         .map(|(k, v)| format!("{k}=\"{}\"", crate::registry::escape_label_value(v)))
         .collect();
     format!("{name}{{{}}}", parts.join(","))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! snapshots embedded in `BENCH_*.json` diff cleanly.
 
 use crate::histogram::{CycleHistogram, HISTOGRAM_BUCKETS};
-use crate::recorder::{TraceEvent, TraceKind};
+use crate::recorder::{FlightRecorder, TraceEvent, TraceKind};
 use crate::registry::Registry;
 use crate::span::unpack_span;
 
@@ -76,8 +76,10 @@ fn with_label(key: &str, label: &str, value: &str) -> String {
     }
 }
 
-/// Escapes a string for embedding as a JSON string value.
-fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding as a JSON string value: `"`, `\` and
+/// every control character (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00XX`), so any input yields a [`json_is_valid`] string.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -209,12 +211,41 @@ pub fn chrome_trace_wrap(lines: &[String]) -> String {
 /// it with streamed event lines and calls [`chrome_trace_wrap`] still gets
 /// a valid chrome://tracing document — the gap is visible on the timeline
 /// instead of silently absent.
-pub fn chrome_trace_gap_line(dropped: u64, next_tick: u64, ns_per_tick: f64) -> String {
+fn chrome_trace_gap_line(dropped: u64, next_tick: u64, ns_per_tick: f64) -> String {
     let ts_us = next_tick as f64 * ns_per_tick / 1000.0;
     format!(
         "  {{\"name\": \"trace_gap\", \"ph\": \"i\", \"s\": \"g\", \"ts\": {ts_us:.3}, \
          \"pid\": 0, \"tid\": 0, \"args\": {{\"dropped\": {dropped}}}}}"
     )
+}
+
+/// One incremental drain of `rec` from cursor `since` — the body of a
+/// `/trace?since=<cursor>` scrape. The first line is metadata (`next`
+/// cursor, events `dropped` before the cursor, line count); one
+/// [`chrome_trace_line`] per event follows, each ending in `\n`. A drain
+/// that observed `dropped > 0` leads with a `trace_gap` marker line. A
+/// client that concatenates the event lines of successive drains and calls
+/// [`chrome_trace_wrap`] gets [`chrome_trace`] of the retained events
+/// byte-for-byte, and a gap-marked stream still wraps to valid JSON.
+pub fn chrome_trace_drain(rec: &FlightRecorder, since: u64, ns_per_tick: f64) -> String {
+    let d = rec.events_since(since);
+    let mut lines = Vec::with_capacity(d.events.len() + 1);
+    if d.dropped > 0 {
+        let next_tick = d.events.first().map_or(0, |e| e.tick);
+        lines.push(chrome_trace_gap_line(d.dropped, next_tick, ns_per_tick));
+    }
+    lines.extend(chrome_trace_lines(&d.events, ns_per_tick));
+    let mut body = format!(
+        "{{\"next\": {}, \"dropped\": {}, \"lines\": {}}}\n",
+        d.next,
+        d.dropped,
+        lines.len()
+    );
+    for l in &lines {
+        body.push_str(l);
+        body.push('\n');
+    }
+    body
 }
 
 /// Renders trace events as chrome://tracing "trace event format" JSON
@@ -493,6 +524,34 @@ mod tests {
         assert!(doc.contains("\"s\": \"g\""), "gap marker is global-scope");
         // A gap-only stream is also valid (everything readable was lost).
         assert!(json_is_valid(&chrome_trace_wrap(&[chrome_trace_gap_line(7, 0, 1.0)])));
+    }
+
+    #[test]
+    fn drains_rewrap_to_the_batch_and_mark_their_gaps() {
+        let ev = |tick| TraceEvent { tick, core: 0, sandbox: 1, kind: TraceKind::Enter, arg: 0 };
+        // The event lines of successive drains re-wrap to the batch export.
+        let mut rec = FlightRecorder::new(16);
+        let (mut cursor, mut lines) = (0u64, Vec::new());
+        for tick in 0..6 {
+            rec.record(ev(tick * 10));
+            let body = chrome_trace_drain(&rec, cursor, 1.0);
+            let mut it = body.lines();
+            let head = format!("{{\"next\": {}, \"dropped\": 0, \"lines\": 1}}", tick + 1);
+            assert_eq!(it.next(), Some(head.as_str()));
+            lines.extend(it.map(str::to_owned));
+            cursor = tick + 1;
+        }
+        assert_eq!(chrome_trace_wrap(&lines), chrome_trace(&rec.events(), 1.0));
+        let drained = chrome_trace_drain(&rec, cursor, 1.0);
+        assert_eq!(drained, "{\"next\": 6, \"dropped\": 0, \"lines\": 0}\n");
+        // A ring that wrapped leads with a gap marker at the next retained tick.
+        let mut small = FlightRecorder::new(3);
+        (0..5).for_each(|tick| small.record(ev(tick * 1000)));
+        let body = chrome_trace_drain(&small, 0, 1.0);
+        let mut it = body.lines();
+        assert_eq!(it.next(), Some("{\"next\": 5, \"dropped\": 2, \"lines\": 4}"));
+        assert_eq!(it.next(), Some(chrome_trace_gap_line(2, 2000, 1.0).as_str()));
+        assert!(json_is_valid(&chrome_trace_wrap(&it.map(str::to_owned).collect::<Vec<_>>())));
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub use alert::{
 };
 pub use clock::VirtualClock;
 pub use export::{
-    chrome_trace, chrome_trace_gap_line, chrome_trace_line, chrome_trace_lines,
-    chrome_trace_wrap, json_is_valid, json_snapshot, prometheus_text,
+    chrome_trace, chrome_trace_drain, chrome_trace_line, chrome_trace_lines, chrome_trace_wrap,
+    json_escape, json_is_valid, json_snapshot, prometheus_text,
 };
 pub use histogram::{CycleHistogram, HISTOGRAM_BUCKETS};
 pub use profile::{BucketExemplars, FoldedStacks};

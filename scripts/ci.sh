@@ -103,6 +103,32 @@ trap - EXIT
 echo "== fleet federation: K kills, recovery byte-equality, merged scrape surface =="
 cargo run -q --offline --release -p sfi-bench --bin fleet_serve -- --check
 
+echo "== fleet serving: headless smoke (start, scrape, validate, clean shutdown) =="
+# The same ephemeral-port smoke for the federated surface: both owners share
+# one accept loop, so this covers it for the fleet as the step above does
+# for the single engine.
+FLEET_LOG=$(mktemp)
+cargo run -q --offline --release -p sfi-bench --bin fleet_serve -- --port 0 --rounds 2 >"$FLEET_LOG" &
+FLEET_PID=$!
+# Never orphan the server: a failed scrape exits before /quit.
+trap 'kill "$FLEET_PID" 2>/dev/null || true; rm -f "$FLEET_LOG"' EXIT
+ADDR=""
+for _ in $(seq 1 50); do
+  ADDR=$(sed -n 's|.*listening on http://\([0-9.:]*\).*|\1|p' "$FLEET_LOG")
+  [ -n "$ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "fleet_serve did not report its address"; kill "$FLEET_PID"; exit 1; }
+FLEET_SERVE=target/release/fleet_serve
+"$FLEET_SERVE" --get "$ADDR" /fleet --timeout-ms 5000 | grep -q '"members_live"'
+"$FLEET_SERVE" --get "$ADDR" /healthz --timeout-ms 5000 | grep -q '"availability"'
+"$FLEET_SERVE" --get "$ADDR" '/alerts?since=0' --timeout-ms 5000 | grep -q '"states"'
+"$FLEET_SERVE" --get "$ADDR" '/query?expr=sfi_fleet_rounds_total' --timeout-ms 5000 | grep -q '"results"'
+"$FLEET_SERVE" --get "$ADDR" /quit --timeout-ms 5000 >/dev/null
+wait "$FLEET_PID"   # exit-code check: the serve loop must stop cleanly
+rm -f "$FLEET_LOG"
+trap - EXIT
+
 echo "== overload: open-loop sweep, QoS shedding, elastic determinism, legacy bytes =="
 # Runs after figX_multicore: gate 3 byte-compares the recomputed closed-loop
 # sweep against the BENCH_multicore.json written above.

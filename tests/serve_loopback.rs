@@ -7,18 +7,21 @@
 //! confined to the scrape-meta series), `/trace?since=<cursor>`
 //! incrementally (the drained stream must concatenate byte-identically to
 //! the post-mortem batch export), `/snapshot` (byte-equal to a server-off
-//! replay), `/healthz`, and `/quit` for clean shutdown.
+//! replay), `/healthz`, and `/quit` for clean shutdown. The federated
+//! fleet surface is scraped the same way, and one table of requests runs
+//! in-process through both owners' route tables: status codes, JSON
+//! validity, per-endpoint scrape counters and `/snapshot` invariance.
 
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use segue_colorguard::faas::{
-    fleet_serve_blocking, serve_blocking, FailureModel, FleetConfig, FleetSupervisor,
-    ServeConfig, ServeEngine,
+    serve_blocking, FailureModel, FleetConfig, FleetSupervisor, ServeConfig, ServeEngine,
 };
 use segue_colorguard::telemetry::{
-    chrome_trace_wrap, http_get, http_get_retry, json_is_valid, Registry, RetryPolicy,
+    chrome_trace_wrap, http_get, http_get_retry, json_is_valid, HttpRequest, HttpResponse,
+    Registry, RetryPolicy,
 };
 use segue_colorguard::vm::{EngineFault, FaultPlan};
 
@@ -39,7 +42,7 @@ fn loopback_scrapes_match_postmortem_exports() {
         offline.run_round();
     }
     let offline_snapshot = offline.snapshot_json();
-    let offline_trace = offline.trace_batch();
+    let offline_trace = offline.surface().trace_batch();
 
     // Live server on an ephemeral loopback port.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
@@ -88,7 +91,7 @@ fn loopback_scrapes_match_postmortem_exports() {
     // The incremental drains re-wrap to the byte-identical batch export,
     // which in turn equals the server-off replay.
     let rewrapped = chrome_trace_wrap(&streamed);
-    assert_eq!(rewrapped, engine.lock().unwrap().trace_batch());
+    assert_eq!(rewrapped, engine.lock().unwrap().surface().trace_batch());
     assert_eq!(rewrapped, offline_trace);
 
     // /snapshot is modeled-only and byte-equal to the offline replay.
@@ -133,9 +136,9 @@ fn wrapped_trace_stream_flags_the_gap_and_stays_valid() {
     {
         let eng = engine.lock().unwrap();
         assert!(
-            eng.stream().total_recorded() > 32 + 32,
+            eng.surface().stream().total_recorded() > 32 + 32,
             "rounds must overflow the ring decisively (got {})",
-            eng.stream().total_recorded()
+            eng.surface().stream().total_recorded()
         );
     }
     let (status, body) = http_get(&addr, "/trace?since=0").expect("trace");
@@ -206,11 +209,7 @@ fn fleet_loopback_serves_the_federated_surface() {
     // A two-member fleet with one injected kill, scraped over real TCP
     // with the hardened retry client: the federated /snapshot must equal a
     // manual label-disambiguated merge of uninterrupted member replays.
-    let mut cfg = FleetConfig::paper_rig(2, 2);
-    for m in &mut cfg.members {
-        m.engine.duration_ms = 10;
-        m.probe.duration_ms = 5;
-    }
+    let mut cfg = small_fleet();
     cfg.chaos = FaultPlan::new().engine_fail_at(0, 1, EngineFault::MidRoundPanic);
     let member_cfgs: Vec<ServeConfig> = cfg.members.clone();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
@@ -219,7 +218,7 @@ fn fleet_loopback_serves_the_federated_surface() {
     let server = {
         let fleet = Arc::clone(&fleet);
         std::thread::spawn(move || {
-            fleet_serve_blocking(&listener, &fleet, Instant::now()).expect("fleet serve")
+            serve_blocking(&listener, &fleet, Instant::now()).expect("fleet serve")
         })
     };
     const ROUNDS: u64 = 3;
@@ -254,4 +253,132 @@ fn fleet_loopback_serves_the_federated_surface() {
     let (qs, _, _) = http_get_retry(&addr, "/quit", &policy).expect("quit");
     assert_eq!(qs, 200);
     server.join().expect("server thread exits after /quit");
+}
+
+/// A small two-member fleet with short rounds.
+fn small_fleet() -> FleetConfig {
+    let mut cfg = FleetConfig::paper_rig(2, 2);
+    for m in &mut cfg.members {
+        m.engine.duration_ms = 10;
+        m.probe.duration_ms = 5;
+    }
+    cfg
+}
+
+/// One request line through an owner's route table.
+type Route<T> = fn(&mut T, &HttpRequest, f64) -> (HttpResponse, bool);
+
+fn get<T>(owner: &mut T, route: Route<T>, line: &str) -> (HttpResponse, bool) {
+    route(owner, &HttpRequest::parse(line).expect("request line parses"), 0.0)
+}
+
+/// Every `<series>{endpoint="…"} N` scrape count in a `/metrics` body.
+fn scrape_counts(metrics: &str, series: &str) -> Vec<(String, u64)> {
+    metrics
+        .lines()
+        .filter_map(|l| {
+            let rest = l.strip_prefix(series)?.strip_prefix("{endpoint=\"")?;
+            let (endpoint, n) = rest.split_once("\"} ")?;
+            Some((endpoint.to_owned(), n.parse().ok()?))
+        })
+        .collect()
+}
+
+/// Runs the conformance table against one owner: every endpoint, the
+/// malformed-input 400s, 405, 404 and `/quit`. Each request must answer its
+/// status, every 200 JSON body must be valid, each request must bump exactly
+/// its own endpoint's scrape counter, and `/snapshot` must not move.
+fn conform<T>(
+    owner: &mut T,
+    route: Route<T>,
+    metrics: fn(&T) -> String,
+    snapshot: fn(&T) -> String,
+    series: &str,
+    endpoints: &[&'static str],
+    query_series: &str,
+) {
+    let mut table: Vec<(String, u16, Option<&str>)> = endpoints
+        .iter()
+        .map(|&ep| {
+            let target =
+                if ep == "query" { format!("query?expr={query_series}") } else { ep.into() };
+            (format!("GET /{target} HTTP/1.1"), 200, Some(ep))
+        })
+        .collect();
+    for (line, status, endpoint) in [
+        ("GET /trace?since=x HTTP/1.1", 400, Some("trace")),
+        ("GET /alerts?since=-1 HTTP/1.1", 400, Some("alerts")),
+        ("GET /query HTTP/1.1", 400, Some("query")),
+        ("GET /query?expr=%ZZ HTTP/1.1", 400, Some("query")),
+        ("POST /metrics HTTP/1.1", 405, None),
+        ("GET /no-such-endpoint HTTP/1.1", 404, None),
+        ("GET /quit HTTP/1.1", 200, None),
+    ] {
+        table.push((line.to_owned(), status, endpoint));
+    }
+    let counted: Vec<String> =
+        scrape_counts(&metrics(owner), series).into_iter().map(|(ep, _)| ep).collect();
+    let mut listed: Vec<String> = endpoints.iter().map(|ep| ep.to_string()).collect();
+    listed.sort();
+    assert_eq!(counted, listed, "{series} must count exactly the listed endpoints");
+    for (line, status, endpoint) in table {
+        let (snap, before) = (snapshot(owner), scrape_counts(&metrics(owner), series));
+        let (resp, stop) = get(owner, route, &line);
+        assert_eq!(resp.status, status, "{line}: {}", resp.body);
+        assert_eq!(stop, line.starts_with("GET /quit "), "{line}: stop flag");
+        if resp.status == 200 && resp.content_type == "application/json" {
+            assert!(json_is_valid(&resp.body), "{line}: {}", resp.body);
+        }
+        let after = scrape_counts(&metrics(owner), series);
+        for ((ep, n0), (_, n1)) in before.iter().zip(&after) {
+            let bump = u64::from(endpoint == Some(ep.as_str()));
+            assert_eq!(*n1, n0 + bump, "{line}: {series}{{endpoint=\"{ep}\"}}");
+        }
+        assert_eq!(snapshot(owner), snap, "{line} moved /snapshot");
+    }
+}
+
+#[test]
+fn both_surfaces_answer_one_route_table() {
+    let mut engine = ServeEngine::new(small_cfg());
+    engine.run_round();
+    conform(
+        &mut engine,
+        ServeEngine::route,
+        ServeEngine::metrics_text,
+        ServeEngine::snapshot_json,
+        "sfi_serve_scrapes_total",
+        &["metrics", "snapshot", "trace", "healthz", "profile", "alerts", "query"],
+        "sfi_shard_completed_total",
+    );
+    let mut fleet = FleetSupervisor::new(small_fleet());
+    fleet.run_round();
+    conform(
+        &mut fleet,
+        FleetSupervisor::route,
+        FleetSupervisor::metrics_text,
+        FleetSupervisor::snapshot_json,
+        "sfi_fleet_scrapes_total",
+        &["metrics", "snapshot", "trace", "healthz", "fleet", "profile", "alerts", "query"],
+        "sfi_fleet_rounds_total",
+    );
+}
+
+#[test]
+fn query_bodies_escape_control_characters_on_both_surfaces() {
+    // A decoded `expr` may carry a tab or a newline (the query parser trims
+    // them); echoing it raw into the JSON string made the 200 body invalid.
+    fn check<T>(owner: &mut T, route: Route<T>, series: &str) {
+        for expr in [format!("{series}%09"), format!("%0A{series}")] {
+            let (resp, _) = get(owner, route, &format!("GET /query?expr={expr} HTTP/1.1"));
+            assert_eq!(resp.status, 200, "{expr}: {}", resp.body);
+            assert!(json_is_valid(&resp.body), "{expr}: {}", resp.body);
+        }
+    }
+    let mut engine = ServeEngine::new(small_cfg());
+    engine.run_round();
+    check(&mut engine, ServeEngine::route, "sfi_shard_completed_total");
+    let mut fleet = FleetSupervisor::new(small_fleet());
+    fleet.run_round();
+    check(&mut fleet, FleetSupervisor::route, "sfi_fleet_rounds_total");
 }
